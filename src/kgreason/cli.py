@@ -22,27 +22,23 @@ import numpy as np
 from . import __version__
 from .autodiff import Tape, grad_check
 from .data import (
-    DatasetSplit, Triplet, Vocabulary, VocabularyError, build_graph, load_dataset,
-    load_triplets, make_queries, query_filters, Query,
+    DatasetSplit, ParseError, Query, Triplet, Vocabulary, VocabularyError, build_graph,
+    load_dataset,
 )
+# unused here, but the benchmark tracer (kgbench/tracer.py) patches these names on this module
+from .data import load_triplets, make_queries, query_filters  # noqa: F401
 from .evaluation import evaluate
 from .model import (
-    ModelConfig, ModelParams, dense_attention_oracle, forward, ForwardState, score_query,
+    ModelConfig, ModelParams, dense_attention_oracle, forward, ForwardState, pin_noise, score_query,
 )
 from .training import (
-    TrainConfig, load_checkpoint, negative_sampling_loss, sample_negatives, train,
+    CheckpointError, TrainConfig, load_checkpoint, negative_sampling_loss, sample_negatives,
+    split_graph, split_queries, train,
 )
 
 
 class UserError(Exception):
     """Bad input from the operator (missing files, unknown tokens, bad config)."""
-
-
-def _inference_config(config: ModelConfig, noise_seed: int) -> ModelConfig:
-    """Pin noise for single-query inference so outputs are reproducible."""
-    if config.noise_mode == "disabled":
-        return config
-    return dataclasses.replace(config, noise_mode="fixed_seed", noise_seed=noise_seed)
 
 
 @dataclasses.dataclass
@@ -51,7 +47,6 @@ class RunSettings:
     dataset_mode: str = "auto"
     output_dir: str = ""
     verbosity: str = "info"
-    threads: int = 1
 
 
 _SECTION_TYPES = {"dataset": None, "model": ModelConfig, "training": TrainConfig, "run": RunSettings}
@@ -80,7 +75,6 @@ _RUN_KEY_MAP = {
     ("dataset", "mode"): "dataset_mode",
     ("run", "output_dir"): "output_dir",
     ("run", "verbosity"): "verbosity",
-    ("run", "threads"): "threads",
 }
 
 
@@ -136,18 +130,32 @@ def echo_config(out_dir: str, run: RunSettings, model: ModelConfig, training: Tr
     parser["dataset"] = {"path": run.dataset_path, "mode": run.dataset_mode}
     parser["model"] = {k: "" if v is None else str(v) for k, v in dataclasses.asdict(model).items()}
     parser["training"] = {k: "" if v is None else str(v) for k, v in dataclasses.asdict(training).items()}
-    parser["run"] = {"output_dir": run.output_dir, "verbosity": run.verbosity, "threads": str(run.threads)}
+    parser["run"] = {"output_dir": run.output_dir, "verbosity": run.verbosity}
     with open(os.path.join(out_dir, "resolved.cfg"), "w", encoding="utf-8") as fh:
         parser.write(fh)
 
 
-def _load_dataset_for(run: RunSettings) -> DatasetSplit:
-    if not run.dataset_path:
-        raise UserError("no dataset path configured")
+def _load_dataset(path: str, mode: str = "auto", entity_vocab=None, relation_vocab=None) -> DatasetSplit:
+    """``load_dataset`` with a missing file reported as a user error."""
     try:
-        return load_dataset(run.dataset_path, mode=run.dataset_mode)
+        return load_dataset(path, mode, entity_vocab, relation_vocab)
     except FileNotFoundError as exc:
         raise UserError(str(exc)) from None
+
+
+def _relation_id(token: str, relation_vocab: Vocabulary) -> int:
+    """Augmented relation id of a relation token; ``rel^-1`` names the inverse of ``rel``."""
+    if token.endswith("^-1"):
+        return relation_vocab.id(token[:-3]) + len(relation_vocab)
+    return relation_vocab.id(token)
+
+
+def _relation_token(relation: int, relation_vocab: Vocabulary) -> str:
+    """Inverse of ``_relation_id``."""
+    num_base = len(relation_vocab)
+    if relation < num_base:
+        return relation_vocab[relation]
+    return relation_vocab[relation - num_base] + "^-1"
 
 
 def cmd_train(args) -> int:
@@ -158,7 +166,9 @@ def cmd_train(args) -> int:
         run.output_dir = args.out
     for warning in model.grid_warnings() + training.grid_warnings():
         print(f"warning: {warning}", file=sys.stderr)
-    dataset = _load_dataset_for(run)
+    if not run.dataset_path:
+        raise UserError("no dataset path configured")
+    dataset = _load_dataset(run.dataset_path, run.dataset_mode)
     out_dir = run.output_dir or None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -173,69 +183,29 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _restore_for_inference(checkpoint_path: str, data_dir: str, split: str):
-    """Rebuild model, vocabularies and the evaluation graph/queries.
-
-    Vocabulary ids come from the checkpoint so they are stable across runs;
-    dataset files are re-parsed under those fixed vocabularies. Inductive
-    test queries run against the inference fact graph with its own entity
-    vocabulary (relations stay those of training).
-    """
+def _restore_for_inference(checkpoint_path: str, data_dir: str):
+    """Load a checkpoint and re-parse the dataset under its fixed vocabularies."""
     if not os.path.exists(checkpoint_path):
         raise UserError(f"checkpoint not found: {checkpoint_path}")
     ck = load_checkpoint(checkpoint_path)
-    entity_vocab = Vocabulary(ck.entity_tokens, frozen=True)
-    relation_vocab = Vocabulary(ck.relation_tokens, frozen=True)
-
-    def path(name):
-        p = os.path.join(data_dir, f"{name}.txt")
-        if not os.path.exists(p):
-            raise UserError(f"dataset file not found: {p}")
-        return p
-
-    try:
-        train_trips, _, _ = load_triplets(path("train"), entity_vocab, relation_vocab)
-        inductive = os.path.exists(os.path.join(data_dir, "inference.txt"))
-        num_base = len(relation_vocab)
-        if split == "test" and inductive:
-            inf_vocab = Vocabulary()
-            inference, _, _ = load_triplets(path("inference"), inf_vocab, relation_vocab)
-            test, _, _ = load_triplets(path("test"), inf_vocab, relation_vocab)
-            graph = build_graph(inference, len(inf_vocab), num_base, add_inverse=True)
-            filters = query_filters([inference, test], num_base)
-            queries = make_queries(test, num_base, filters)
-            return ck, graph, queries, inf_vocab, relation_vocab
-        valid, _, _ = load_triplets(path("valid"), entity_vocab, relation_vocab)
-        if inductive:
-            # inductive valid queries live on the training graph; the test
-            # file belongs to the disjoint inference vocabulary
-            splits = [train_trips, valid]
-        else:
-            test, _, _ = load_triplets(path("test"), entity_vocab, relation_vocab)
-            splits = [train_trips, valid, test]
-        graph = build_graph(train_trips, len(entity_vocab), num_base, add_inverse=True)
-        chosen = {"train": train_trips, "valid": valid, "test": splits[-1]}[split]
-        filters = query_filters(splits, num_base)
-        queries = make_queries(chosen, num_base, filters)
-        return ck, graph, queries, entity_vocab, relation_vocab
-    except VocabularyError as exc:
-        raise UserError(str(exc)) from None
+    dataset = _load_dataset(data_dir, entity_vocab=Vocabulary(ck.entity_tokens, frozen=True),
+                            relation_vocab=Vocabulary(ck.relation_tokens, frozen=True))
+    return ck, dataset
 
 
 def cmd_eval(args) -> int:
-    ck, graph, queries, entity_vocab, relation_vocab = _restore_for_inference(
-        args.checkpoint, args.data, args.split)
+    ck, dataset = _restore_for_inference(args.checkpoint, args.data)
+    graph, entity_vocab = split_graph(dataset, args.split)
+    [queries] = split_queries(dataset, args.split)
     t0 = time.perf_counter()
     out = evaluate(graph, queries, ck.params, ck.model_config, noise_seed=args.noise_seed,
-                   raw=args.raw, per_query=args.per_query, threads=args.threads)
+                   raw=args.raw, per_query=args.per_query)
     wall = (time.perf_counter() - t0) * 1000
     if args.per_query:
         report, records = out
-        num_base = len(relation_vocab)
         for rec in records:
-            rel = rec["relation"]
-            rel_token = relation_vocab[rel] if rel < num_base else relation_vocab[rel - num_base] + "^-1"
-            print(json.dumps({"head": entity_vocab[rec["head"]], "relation": rel_token,
+            print(json.dumps({"head": entity_vocab[rec["head"]],
+                              "relation": _relation_token(rec["relation"], dataset.relation_vocab),
                               "gold": entity_vocab[rec["gold"]], "rank": rec["rank"]}, sort_keys=True))
     else:
         report = out
@@ -244,7 +214,7 @@ def cmd_eval(args) -> int:
         mrrs = [report.mrr]
         for offset in (1, 2):
             extra = evaluate(graph, queries, ck.params, ck.model_config,
-                             noise_seed=args.noise_seed + offset, raw=args.raw, threads=args.threads)
+                             noise_seed=args.noise_seed + offset, raw=args.raw)
             mrrs.append(extra.mrr)
         print(json.dumps({"mrr_mean": float(np.mean(mrrs)), "mrr_std": float(np.std(mrrs)),
                           "noise_seeds": [args.noise_seed + i for i in range(3)]}, sort_keys=True))
@@ -260,22 +230,22 @@ def cmd_grid(args) -> int:
     return 0
 
 
+def _inference_query(args):
+    """Checkpoint, training graph, vocabulary and the (head, relation) query of ``args``."""
+    ck, dataset = _restore_for_inference(args.checkpoint, args.data)
+    graph, entity_vocab = split_graph(dataset, "train")
+    query = Query(entity_vocab.id(args.head), _relation_id(args.relation, dataset.relation_vocab),
+                  0, frozenset({0}))
+    return ck, graph, entity_vocab, query
+
+
 def cmd_predict(args) -> int:
-    ck, graph, _, entity_vocab, relation_vocab = _restore_for_inference(args.checkpoint, args.data, "train")
-    try:
-        head = entity_vocab.id(args.head)
-        if args.relation.endswith("^-1"):
-            relation = relation_vocab.id(args.relation[:-3]) + len(relation_vocab)
-        else:
-            relation = relation_vocab.id(args.relation)
-    except VocabularyError as exc:
-        raise UserError(str(exc)) from None
+    ck, graph, entity_vocab, query = _inference_query(args)
     k = args.k
     if k > graph.num_entities:
         print(f"warning: k={k} clipped to {graph.num_entities} entities", file=sys.stderr)
         k = graph.num_entities
-    config = _inference_config(ck.model_config, args.noise_seed)
-    scores = score_query(graph, Query(head, relation, 0, frozenset({0})), ck.params, config)
+    scores = score_query(graph, query, ck.params, pin_noise(ck.model_config, args.noise_seed))
     top = np.argsort(-scores, kind="stable")[:k]
     for entity in top:
         print(json.dumps({"tail": entity_vocab[int(entity)], "score": float(scores[entity])}))
@@ -353,35 +323,24 @@ def cmd_diagnose(args) -> int:
 
     if args.subcommand == "wl":
         from .wl import rawl2_refine
-        ds = load_dataset(args.data)
-        graph = build_graph(ds.train, ds.num_entities, ds.num_relations, add_inverse=True)
-        try:
-            head = ds.entity_vocab.id(args.head)
-        except VocabularyError as exc:
-            raise UserError(str(exc)) from None
-        coloring = rawl2_refine(graph, head, rounds=args.rounds)
+        graph, entity_vocab = split_graph(_load_dataset(args.data), "train")
+        coloring = rawl2_refine(graph, entity_vocab.id(args.head), rounds=args.rounds)
         for color, members in sorted(coloring.classes().items()):
             print(json.dumps({"color": color, "size": len(members),
-                              "entities": [ds.entity_vocab[u] for u in members[:20]]}))
+                              "entities": [entity_vocab[u] for u in members[:20]]}))
         print(f"{len(coloring.classes())} classes after {coloring.rounds} rounds "
               f"(stable: {coloring.stable})")
         return 0
 
     if args.subcommand == "attention":
-        ck, graph, _, entity_vocab, relation_vocab = _restore_for_inference(args.checkpoint, args.data, "train")
-        try:
-            head = entity_vocab.id(args.head)
-            relation = relation_vocab.id(args.relation)
-        except VocabularyError as exc:
-            raise UserError(str(exc)) from None
-        query = Query(head, relation, 0, frozenset({0}))
-        config = _inference_config(ck.model_config, args.noise_seed)
+        ck, graph, entity_vocab, query = _inference_query(args)
+        config = pin_noise(ck.model_config, args.noise_seed)
         state = ForwardState()
         tape = Tape(grad=False)
         scores = forward(tape, graph, query, ck.params, config, state=state)
         answer = int(np.argmax(scores.data[:, 0]))
-        ztilde = state.query_reprs[-1][0]
-        zhat = state.value_reprs[-1][0]
+        ztilde = state.query_reprs[-1]
+        zhat = state.value_reprs[-1]
         _, attn = dense_attention_oracle(ztilde, zhat, ck.params.layers[-1].heads[0],
                                          config.kernel_mode, guard=config.dense_guard)
         row = attn[answer].copy()
@@ -470,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true", help="disable filtered ranking")
     p.add_argument("--noise-std", action="store_true",
                    help="also report the MRR spread over 3 noise seeds")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grid", help="print the default hyperparameter search grids")
@@ -505,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--checkpoint", required=True)
     q.add_argument("--data", required=True)
     q.add_argument("--head", required=True)
-    q.add_argument("--relation", required=True)
+    q.add_argument("--relation", required=True, help="relation token; append ^-1 for the inverse")
     q.add_argument("--top", type=int, default=10)
     q.add_argument("--noise-seed", type=int, default=0)
 
@@ -523,7 +481,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UserError as exc:
+    except (UserError, CheckpointError, ParseError, VocabularyError) as exc:
+        # bad configs, checkpoints, data files or tokens: all the operator's to fix
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BrokenPipeError, KeyboardInterrupt):

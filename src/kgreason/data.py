@@ -49,7 +49,7 @@ class Query(NamedTuple):
 
 
 class Vocabulary:
-    """Token <-> dense-id mapping, first-seen order; line number = id on disk."""
+    """Token <-> dense-id mapping in first-seen order."""
 
     def __init__(self, tokens: Sequence[str] = (), frozen: bool = False):
         self._tokens: list[str] = []
@@ -86,17 +86,6 @@ class Vocabulary:
             return self._index[token]
         except KeyError:
             raise VocabularyError(f"unknown token {token!r}") from None
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self._tokens:
-                fh.write(tok + "\n")
-
-    @classmethod
-    def load(cls, path: str, frozen: bool = True) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh]
-        return cls(tokens, frozen=frozen)
 
 
 def load_triplets(
@@ -188,32 +177,16 @@ class KnowledgeGraph:
             self._edge_positions = positions
         return self._edge_positions
 
-    def edge_mask_excluding(self, head: int, relation: int, tail: int, dtype=np.float64):
-        """(E, 1) multiplier zeroing every copy of a fact and of its inverse.
-
-        Used to drop a training query's own edge from message passing.
-        Returns None when neither direction is present in the graph.
-        """
-        positions = self._excluded_positions(head, relation, tail)
-        if not positions:
-            return None
-        mask = np.ones((self.num_edges, 1), dtype=dtype)
-        mask[positions] = 0.0
-        return mask
-
-    def _excluded_positions(self, head: int, relation: int, tail: int) -> list:
-        positions = list(self._positions().get((head, relation, tail), ()))
-        inv = inverse_relation(relation, self.num_base_relations)
-        positions += self._positions().get((tail, inv, head), ())
-        return positions
-
     def excluded_edge_endpoints(self, head: int, relation: int, tail: int):
         """(sources, relations, targets) of every copy of a fact and its inverse.
 
-        The cheap alternative to a full edge mask: message passing subtracts
-        just these few contributions after aggregating everything.
+        Used to drop a training query's own edge from message passing, which
+        subtracts just these few contributions after aggregating everything.
+        Returns None when neither direction is present in the graph.
         """
-        positions = self._excluded_positions(head, relation, tail)
+        positions = list(self._positions().get((head, relation, tail), ()))
+        inv = inverse_relation(relation, self.num_base_relations)
+        positions += self._positions().get((tail, inv, head), ())
         if not positions:
             return None
         pos = np.asarray(positions, dtype=np.int64)
@@ -328,8 +301,15 @@ class DatasetSplit:
         return 0 if self.inference_entity_vocab is None else len(self.inference_entity_vocab)
 
 
-def load_dataset(path: str, mode: str = "auto") -> DatasetSplit:
-    """Load ``train/valid/test(.txt)`` from a directory, plus ``inference.txt`` if inductive."""
+def load_dataset(path: str, mode: str = "auto", entity_vocab: Optional[Vocabulary] = None,
+                 relation_vocab: Optional[Vocabulary] = None) -> DatasetSplit:
+    """Load ``train/valid/test(.txt)`` from a directory, plus ``inference.txt`` if inductive.
+
+    Vocabularies are built in first-seen order unless fixed ones are given
+    (a checkpoint's, so ids match the trained model). The inductive
+    inference vocabulary is always built from ``inference.txt`` and
+    ``test.txt``.
+    """
     def fname(split):
         return os.path.join(path, f"{split}.txt")
 
@@ -342,7 +322,7 @@ def load_dataset(path: str, mode: str = "auto") -> DatasetSplit:
     if mode == "inductive" and not has_inference:
         raise FileNotFoundError(f"inductive mode requires {fname('inference')}")
 
-    train, entity_vocab, relation_vocab = load_triplets(fname("train"))
+    train, entity_vocab, relation_vocab = load_triplets(fname("train"), entity_vocab, relation_vocab)
     relation_vocab.frozen = True
     if mode == "transductive":
         valid, _, _ = load_triplets(fname("valid"), entity_vocab, relation_vocab)

@@ -8,14 +8,13 @@ at its analytic random-ranking expectation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .data import KnowledgeGraph, Query
-from .model import ModelConfig, ModelParams, score_query
+from .model import ModelConfig, ModelParams, pin_noise, score_query
 
 
 class RankingError(Exception):
@@ -33,7 +32,6 @@ class MetricsReport:
     hits3: float
     hits10: float
     count: int
-    both_directions: bool = True
 
     def as_dict(self) -> dict:
         return {
@@ -72,7 +70,7 @@ def rank_answer(scores: np.ndarray, gold: int, filter_mask: Optional[np.ndarray]
     return 1.0 + greater + 0.5 * ties
 
 
-def compute_metrics(ranks: Sequence[float], both_directions: bool = True) -> MetricsReport:
+def compute_metrics(ranks: Sequence[float]) -> MetricsReport:
     if len(ranks) == 0:
         raise MetricsError("cannot compute metrics over an empty rank list")
     arr = np.asarray(ranks, dtype=np.float64)
@@ -82,7 +80,6 @@ def compute_metrics(ranks: Sequence[float], both_directions: bool = True) -> Met
         hits3=float((arr <= 3).mean()),
         hits10=float((arr <= 10).mean()),
         count=int(arr.shape[0]),
-        both_directions=both_directions,
     )
 
 
@@ -103,29 +100,18 @@ def evaluate(
     noise_seed: int = 0,
     raw: bool = False,
     per_query: bool = False,
-    threads: int = 1,
 ):
-    """Rank every query and aggregate metrics.
+    """Rank every query, in order, and aggregate metrics.
 
     Noise is pinned to ``noise_seed`` (unless the model runs with noise
-    disabled) so reported numbers are reproducible; queries are independent
-    and may be scored concurrently, with results reduced in query order.
+    disabled) so reported numbers are reproducible.
     """
-    if config.noise_mode == "disabled":
-        eval_config = config
-    else:
-        eval_config = replace(config, noise_mode="fixed_seed", noise_seed=noise_seed)
-
-    def rank_one(query: Query) -> float:
+    eval_config = pin_noise(config, noise_seed)
+    ranks = []
+    for query in queries:
         scores = score_query(graph, query, params, eval_config)
         mask = None if raw else query_filter_mask(query, graph.num_entities)
-        return rank_answer(scores, query.gold_tail, mask)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ranks = list(pool.map(rank_one, queries))
-    else:
-        ranks = [rank_one(q) for q in queries]
+        ranks.append(rank_answer(scores, query.gold_tail, mask))
     report = compute_metrics(ranks)
     if per_query:
         records = [

@@ -14,7 +14,7 @@ dense path (small graphs only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -47,7 +47,6 @@ class ModelConfig:
     mlp_depth: int = 3
     ffn_depth: int = 2
     ffn_multiplier: int = 4
-    heads: int = 1
     kernel_mode: str = "approximate"
     noise_mode: str = "per_forward"
     noise_seed: int = 0
@@ -58,7 +57,7 @@ class ModelConfig:
 
     def validate(self) -> None:
         for name in ("hidden_dim", "attention_layers", "query_layers", "value_layers",
-                     "mlp_depth", "ffn_depth", "ffn_multiplier", "heads"):
+                     "mlp_depth", "ffn_depth", "ffn_multiplier"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.kernel_mode not in ("approximate", "full_exponential"):
@@ -153,21 +152,15 @@ class AttentionHeadParams:
 
 @dataclass
 class LayerParams:
-    heads: list
+    heads: list                # the layer's one attention head, named ``layer{i}.head0``
     ln1_gain: Parameter
     ln1_bias: Parameter
     ln2_gain: Parameter
     ln2_bias: Parameter
     ffn: Mlp
-    merge_w: Optional[Parameter] = None    # only with multiple heads (experimental)
-    merge_b: Optional[Parameter] = None
 
     def parameters(self):
-        for h in self.heads:
-            yield from h.parameters()
-        if self.merge_w is not None:
-            yield self.merge_w
-            yield self.merge_b
+        yield from self.heads[0].parameters()
         yield from (self.ln1_gain, self.ln1_bias, self.ln2_gain, self.ln2_bias)
         yield from self.ffn.parameters()
 
@@ -217,30 +210,24 @@ class ModelParams:
         self.layers = []
         for li in range(config.attention_layers):
             pre = f"layer{li}"
-            heads = []
-            for hi in range(config.heads):
-                hp = f"{pre}.head{hi}"
-                heads.append(AttentionHeadParams(
-                    query_net=rmpnn(f"{hp}.query", config.query_layers),
-                    value_net=rmpnn(f"{hp}.value", config.value_layers),
-                    w1=weight(f"{hp}.w1", d, d),
-                    b1=zeros(f"{hp}.b1", 1, d),
-                    w2=weight(f"{hp}.w2", d, d),
-                    b2=zeros(f"{hp}.b2", 1, d),
-                ))
+            hp = f"{pre}.head0"
+            head = AttentionHeadParams(
+                query_net=rmpnn(f"{hp}.query", config.query_layers),
+                value_net=rmpnn(f"{hp}.value", config.value_layers),
+                w1=weight(f"{hp}.w1", d, d),
+                b1=zeros(f"{hp}.b1", 1, d),
+                w2=weight(f"{hp}.w2", d, d),
+                b2=zeros(f"{hp}.b2", 1, d),
+            )
             ffn_dims = [d] + [config.ffn_multiplier * d] * (config.ffn_depth - 1) + [d]
-            layer = LayerParams(
-                heads=heads,
+            self.layers.append(LayerParams(
+                heads=[head],
                 ln1_gain=ones(f"{pre}.ln1.gain", 1, d),
                 ln1_bias=zeros(f"{pre}.ln1.bias", 1, d),
                 ln2_gain=ones(f"{pre}.ln2.gain", 1, d),
                 ln2_bias=zeros(f"{pre}.ln2.bias", 1, d),
                 ffn=mlp(f"{pre}.ffn", ffn_dims),
-            )
-            if config.heads > 1:
-                layer.merge_w = weight(f"{pre}.merge_w", config.heads * d, d)
-                layer.merge_b = zeros(f"{pre}.merge_b", 1, d)
-            self.layers.append(layer)
+            ))
         self.scorer = mlp("scorer", [d, d, 1])
 
     def parameters(self) -> list[Parameter]:
@@ -261,18 +248,6 @@ class ModelParams:
             p.zero_grad()
 
 
-# --- kernels ---------------------------------------------------------------
-
-
-def approximate_kernel(q: np.ndarray, k: np.ndarray) -> float:
-    """First-order surrogate similarity of two unit vectors, in [0, 2]."""
-    return 1.0 + float(np.dot(np.ravel(q), np.ravel(k)))
-
-
-def exponential_kernel(q: np.ndarray, k: np.ndarray) -> float:
-    return float(np.exp(np.dot(np.ravel(q), np.ravel(k))))
-
-
 # --- message passing -------------------------------------------------------
 
 
@@ -283,21 +258,15 @@ def relation_transform(tape: Tape, relations: Parameter, rq: int, net: RmpnnPara
     return tape.add(tape.reshape(tape.matmul(rq_row, net.rel_w), (num_rel, d)), net.rel_b)
 
 
-def relational_message(tape: Tape, z: Tensor, relation: int, rq: int,
-                       relations: Parameter, net: RmpnnParams) -> Tensor:
-    """Messages for a batch of source states under one edge relation: z * r_hat."""
-    rhat = relation_transform(tape, relations, rq, net)
-    row = tape.gather_rows(rhat, RowIndex([relation]))
-    return tape.mul(z, row)
-
-
 def rmpnn_forward(tape: Tape, graph: KnowledgeGraph, x: Tensor, rq: int,
                   relations: Parameter, net: RmpnnParams, init_extra: np.ndarray,
                   exclude=None) -> Tensor:
     """Run one relational MPNN: project [x, extra], then message/update rounds.
 
-    Messages flow along stored facts r(v, u) from v into u; aggregation is
-    gather source rows -> per-relation transform -> segment-sum to targets.
+    The query-side network's ``init_extra`` is per-entity Gaussian noise;
+    the value-side network's is the head indicator. Messages flow along
+    stored facts r(v, u) from v into u; aggregation is gather source rows
+    -> per-relation transform -> segment-sum to targets.
     ``exclude`` is an optional (sources, relations, targets) triple of edge
     copies whose contribution is subtracted out after aggregation (used to
     drop a training query's own edge without touching the full edge list).
@@ -316,25 +285,6 @@ def rmpnn_forward(tape: Tape, graph: KnowledgeGraph, x: Tensor, rq: int,
             agg = tape.add(agg, tape.scale(tape.scatter_add_rows(n, ex_tgt, leak), -1.0))
         z = rnd.update.apply(tape, tape.add(tape.mul(z, rnd.retain), agg))
     return z
-
-
-def qrmpnn_forward(tape: Tape, graph: KnowledgeGraph, x: Tensor, rq: int,
-                   relations: Parameter, net: RmpnnParams, noise: np.ndarray,
-                   exclude=None) -> Tensor:
-    """Query-side MPNN: the initial state concatenates per-entity Gaussian noise."""
-    return rmpnn_forward(tape, graph, x, rq, relations, net, noise, exclude)
-
-
-def vrmpnn_forward(tape: Tape, graph: KnowledgeGraph, x: Tensor, rq: int, head: int,
-                   relations: Parameter, net: RmpnnParams,
-                   exclude=None) -> Tensor:
-    """Value-side MPNN: the initial state concatenates an all-ones head indicator."""
-    if not 0 <= head < graph.num_entities:
-        raise ConfigError(f"head entity {head} out of range")
-    d = net.proj_b.shape[1]
-    indicator = np.zeros((graph.num_entities, d), dtype=x.data.dtype)
-    indicator[head] = 1.0
-    return rmpnn_forward(tape, graph, x, rq, relations, net, indicator, exclude)
 
 
 # --- attention -------------------------------------------------------------
@@ -424,7 +374,7 @@ class ForwardState:
 
     noise: np.ndarray = None
     x: list = field(default_factory=list)                # X^(0..L)
-    query_reprs: list = field(default_factory=list)      # [layer][head]
+    query_reprs: list = field(default_factory=list)      # one per layer
     value_reprs: list = field(default_factory=list)
     attended: list = field(default_factory=list)
 
@@ -446,40 +396,40 @@ def make_noise(config: ModelConfig, num_entities: int,
     return rng.standard_normal(shape).astype(config.dtype)
 
 
+def pin_noise(config: ModelConfig, noise_seed: int) -> ModelConfig:
+    """The config with noise fixed to one seed, so inference outputs are reproducible."""
+    if config.noise_mode == "disabled":
+        return config
+    return replace(config, noise_mode="fixed_seed", noise_seed=noise_seed)
+
+
+def head_indicator(config: ModelConfig, num_entities: int, head: int) -> np.ndarray:
+    """The value network's extra input: an all-ones row at the query head, zeros elsewhere."""
+    indicator = np.zeros((num_entities, config.hidden_dim), dtype=config.dtype)
+    indicator[head] = 1.0
+    return indicator
+
+
 def transformer_layer(tape: Tape, graph: KnowledgeGraph, x: Tensor, query: Query,
                       relations: Parameter, layer: LayerParams, config: ModelConfig,
-                      noise: np.ndarray, exclude=None,
+                      noise: np.ndarray, indicator: np.ndarray, exclude=None,
                       state: Optional[ForwardState] = None) -> Tensor:
     """One attention block: Attn -> residual -> LN -> FFN -> residual -> LN."""
-    outs = []
-    q_reprs, v_reprs, att_outs = [], [], []
-    for head in layer.heads:
-        ztilde = qrmpnn_forward(tape, graph, x, query.relation, relations, head.query_net, noise, exclude)
-        zhat = vrmpnn_forward(tape, graph, x, query.relation, query.head, relations, head.value_net, exclude)
-        if config.kernel_mode == "approximate":
-            zbar = linear_attention(tape, ztilde, zhat, head, config.norm_eps)
-        else:
-            zbar = dense_attention(tape, ztilde, zhat, head, config.kernel_mode,
-                                   config.norm_eps, config.dense_guard)
-        outs.append(zbar)
-        if state is not None:
-            q_reprs.append(ztilde.data.copy())
-            v_reprs.append(zhat.data.copy())
-            att_outs.append(zbar.data.copy())
-    if len(outs) == 1:
-        attn_out = outs[0]
+    head = layer.heads[0]
+    ztilde = rmpnn_forward(tape, graph, x, query.relation, relations, head.query_net, noise, exclude)
+    zhat = rmpnn_forward(tape, graph, x, query.relation, relations, head.value_net, indicator, exclude)
+    if config.kernel_mode == "approximate":
+        zbar = linear_attention(tape, ztilde, zhat, head, config.norm_eps)
     else:
-        cat = outs[0]
-        for o in outs[1:]:
-            cat = tape.concat_columns(cat, o)
-        attn_out = tape.add(tape.matmul(cat, layer.merge_w), layer.merge_b)
-    a = tape.layer_norm(tape.add(x, attn_out), layer.ln1_gain, layer.ln1_bias, config.layer_norm_eps)
+        zbar = dense_attention(tape, ztilde, zhat, head, config.kernel_mode,
+                               config.norm_eps, config.dense_guard)
+    a = tape.layer_norm(tape.add(x, zbar), layer.ln1_gain, layer.ln1_bias, config.layer_norm_eps)
     out = tape.layer_norm(tape.add(a, layer.ffn.apply(tape, a)),
                           layer.ln2_gain, layer.ln2_bias, config.layer_norm_eps)
     if state is not None:
-        state.query_reprs.append(q_reprs)
-        state.value_reprs.append(v_reprs)
-        state.attended.append(att_outs)
+        state.query_reprs.append(ztilde.data.copy())
+        state.value_reprs.append(zhat.data.copy())
+        state.attended.append(zbar.data.copy())
         state.x.append(out.data.copy())
     return out
 
@@ -498,12 +448,14 @@ def forward(tape: Tape, graph: KnowledgeGraph, query: Query, params: ModelParams
     exclude = None
     if exclude_query_edge:
         exclude = graph.excluded_edge_endpoints(query.head, query.relation, query.gold_tail)
+    indicator = head_indicator(config, n, query.head)
     x = tape.tensor(np.zeros((n, config.hidden_dim), dtype=config.dtype))
     if state is not None:
         state.noise = noise.copy()
         state.x.append(x.data.copy())
     for layer in params.layers:
-        x = transformer_layer(tape, graph, x, query, params.relations, layer, config, noise, exclude, state)
+        x = transformer_layer(tape, graph, x, query, params.relations, layer, config, noise,
+                              indicator, exclude, state)
     return tape.sigmoid(params.scorer.apply(tape, x))
 
 

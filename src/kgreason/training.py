@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .autodiff import Parameter, RowIndex, Tape, Tensor
-from .data import DatasetSplit, build_graph, make_queries, query_filters
+from .data import DatasetSplit, KnowledgeGraph, Vocabulary, build_graph, make_queries, query_filters
 from .evaluation import evaluate
 from .model import ModelConfig, ModelParams, forward, make_noise
 
@@ -233,7 +233,12 @@ def load_checkpoint(path: str) -> Checkpoint:
         payload = fh.read()
     if header["format_version"] != _FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format {header['format_version']}")
-    model_config = ModelConfig(**header["model_config"])
+    model_fields = dict(header["model_config"])
+    heads = model_fields.pop("heads", 1)  # earlier headers record the head count
+    if heads != 1:
+        raise CheckpointError(f"{path}: checkpoint has {heads} attention heads per layer; "
+                              "only single-head models are supported")
+    model_config = ModelConfig(**model_fields)
     train_config = TrainConfig(**header["train_config"])
     params = ModelParams(model_config, header["num_relations"], np.random.default_rng(0))
     adam = AdamState(params.parameters())
@@ -258,6 +263,46 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint(model_config, train_config, params, adam, header["num_relations"],
                       header["entity_tokens"], header["relation_tokens"], header["rng"],
                       header["training_state"])
+
+
+# --- split builder -----------------------------------------------------------
+
+
+def split_graph(dataset: DatasetSplit, split: str) -> tuple[KnowledgeGraph, Vocabulary]:
+    """The inverse-augmented fact graph a split's queries run on, and its entity vocabulary.
+
+    Inductive test queries run on the inference graph, in the inference
+    vocabulary; every other split runs on the training graph.
+    """
+    if dataset.mode == "inductive" and split == "test":
+        facts, vocab = dataset.inference, dataset.inference_entity_vocab
+    else:
+        facts, vocab = dataset.train, dataset.entity_vocab
+    return build_graph(facts, len(vocab), dataset.num_relations, add_inverse=True), vocab
+
+
+def _filter_splits(dataset: DatasetSplit, split: str) -> tuple:
+    """Names of the splits whose facts filter the rankings of ``split``'s queries.
+
+    Filters stay inside the id space the split's graph uses: inductive test
+    ids belong to the inference vocabulary, everything else to training's.
+    """
+    if dataset.mode == "transductive":
+        return ("train", "valid", "test")
+    return ("inference", "test") if split == "test" else ("train", "valid")
+
+
+def split_queries(dataset: DatasetSplit, *splits: str) -> list:
+    """Filtered tail queries (both directions) of each named split, one list per split."""
+    filters = {}
+    out = []
+    for split in splits:
+        known = _filter_splits(dataset, split)
+        if known not in filters:
+            filters[known] = query_filters([getattr(dataset, name) for name in known],
+                                           dataset.num_relations)
+        out.append(make_queries(getattr(dataset, split), dataset.num_relations, filters[known]))
+    return out
 
 
 # --- training loop -----------------------------------------------------------
@@ -306,10 +351,8 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
     """
     model_config.validate()
     num_rel_aug = 2 * dataset.num_relations
-    graph = build_graph(dataset.train, dataset.num_entities, dataset.num_relations, add_inverse=True)
-    filters = query_filters([dataset.train, dataset.valid, dataset.test], dataset.num_relations)
-    train_queries = make_queries(dataset.train, dataset.num_relations, filters)
-    valid_queries = make_queries(dataset.valid, dataset.num_relations, filters)
+    graph, _ = split_graph(dataset, "train")
+    train_queries, valid_queries = split_queries(dataset, "train", "valid")
     if train_config.max_valid_queries is not None:
         valid_queries = valid_queries[:train_config.max_valid_queries]
 

@@ -150,4 +150,4 @@ def value_representations(graph: KnowledgeGraph, head: int, rq: int,
     state = ForwardState()
     tape = Tape(grad=False)
     forward(tape, graph, Query(head, rq, 0, frozenset({0})), params, probe_config, state=state)
-    return state.value_reprs[0][0]
+    return state.value_reprs[0]

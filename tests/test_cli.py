@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import set_header_heads
 from kgreason.cli import load_run_config, main, UserError
 
 TOY_TRIPLES = [
@@ -12,24 +13,18 @@ TOY_TRIPLES = [
 ]
 
 
-@pytest.fixture
-def toy_data(tmp_path):
-    d = tmp_path / "toy"
+def write_dataset(d, splits: dict):
     d.mkdir()
-    def dump(name, rows):
-        (d / name).write_text("".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows))
-    dump("train.txt", TOY_TRIPLES[:6])
-    dump("valid.txt", TOY_TRIPLES[6:7])
-    dump("test.txt", TOY_TRIPLES[7:])
+    for name, rows in splits.items():
+        (d / f"{name}.txt").write_text("".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows))
     return d
 
 
-@pytest.fixture
-def toy_config(tmp_path, toy_data):
+def write_config(tmp_path, data_dir):
     cfg = tmp_path / "toy.cfg"
     cfg.write_text(f"""\
 [dataset]
-path = {toy_data}
+path = {data_dir}
 
 [model]
 hidden_dim = 8
@@ -54,6 +49,17 @@ verbosity = quiet
     return cfg
 
 
+@pytest.fixture
+def toy_data(tmp_path):
+    return write_dataset(tmp_path / "toy", {"train": TOY_TRIPLES[:6], "valid": TOY_TRIPLES[6:7],
+                                            "test": TOY_TRIPLES[7:]})
+
+
+@pytest.fixture
+def toy_config(tmp_path, toy_data):
+    return write_config(tmp_path, toy_data)
+
+
 class TestConfigParsing:
     def test_round_trip(self, toy_config):
         run, model, training = load_run_config(str(toy_config))
@@ -67,6 +73,11 @@ class TestConfigParsing:
     def test_set_overrides_file(self, toy_config):
         _, model, _ = load_run_config(str(toy_config), overrides=["model.hidden_dim=16"])
         assert model.hidden_dim == 16
+
+    def test_removed_keys_rejected(self, toy_config):
+        for item in ("run.threads=2", "model.heads=1"):
+            with pytest.raises(UserError, match="unknown key"):
+                load_run_config(str(toy_config), overrides=[item])
 
     def test_missing_config_is_user_error(self):
         with pytest.raises(UserError):
@@ -174,6 +185,55 @@ class TestEvalPredictCommands:
     def test_missing_checkpoint_exits_2(self, toy_data):
         assert main(["eval", "--checkpoint", "/nope.bin", "--data", str(toy_data)]) == 2
 
+    def test_single_head_header_loads(self, trained, toy_data, capsys):
+        argv = ["predict", "--checkpoint", str(trained), "--data", str(toy_data),
+                "--head", "a", "--relation", "r0", "-k", "3"]
+        assert main(argv) == 0
+        before = capsys.readouterr().out
+        set_header_heads(trained, 1)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == before
+
+    def test_multi_head_header_exits_2(self, trained, toy_data, capsys):
+        set_header_heads(trained, 2)
+        rc = main(["predict", "--checkpoint", str(trained), "--data", str(toy_data),
+                   "--head", "a", "--relation", "r0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2 attention heads" in err
+
+
+INDUCTIVE_SPLITS = {
+    "train": [("a", "r0", "b"), ("b", "r0", "c"), ("c", "r1", "a")],
+    "valid": [("a", "r0", "c")],
+    "inference": [("x", "r0", "y"), ("x", "r0", "z"), ("y", "r1", "z")],
+    "test": [("x", "r0", "w")],
+}
+
+
+class TestInductiveCommands:
+    """Three training entities, four in the inference vocabulary (test adds ``w``)."""
+
+    def test_train_validation_matches_eval(self, tmp_path, capsys):
+        data = write_dataset(tmp_path / "ind", INDUCTIVE_SPLITS)
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "run-ind"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        records = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+        last_valid = [r for r in records if r["split"] == "valid"][-1]
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.bin"), "--data", str(data),
+                     "--split", "valid", "--noise-seed", "3"]) == 0
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert {k: report[k] for k in ("mrr", "hits1", "hits3", "hits10")} == \
+            {k: last_valid[k] for k in ("mrr", "hits1", "hits3", "hits10")}
+
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.bin"), "--data", str(data),
+                     "--split", "test", "--per-query"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [json.loads(line)["gold"] for line in lines[:-1]] == ["w", "x"]
+        assert json.loads(lines[-1])["count"] == 2
+
 
 class TestDiagnoseCommands:
     def test_kernel_error_pass(self, capsys):
@@ -193,6 +253,11 @@ class TestDiagnoseCommands:
     def test_wl_unknown_head_exits_2(self, toy_data):
         assert main(["diagnose", "wl", "--data", str(toy_data), "--head", "nope"]) == 2
 
+    def test_wl_missing_dataset_exits_2(self, tmp_path, capsys):
+        rc = main(["diagnose", "wl", "--data", str(tmp_path / "absent"), "--head", "a"])
+        assert rc == 2
+        assert "error: dataset file not found" in capsys.readouterr().err
+
     def test_scaling_small_sizes(self, capsys):
         rc = main(["diagnose", "scaling", "--sizes", "200,400,800", "--dim", "8", "--reps", "2"])
         out = capsys.readouterr().out
@@ -211,6 +276,11 @@ class TestDiagnoseCommands:
         assert "answer" in header
         rows = [json.loads(l) for l in lines[1:]]
         assert len(rows) == 3 and all(0.0 <= r["weight"] <= 1.0 for r in rows)
+
+        rc = main(["diagnose", "attention", "--checkpoint", str(out / "checkpoint.bin"),
+                   "--data", str(toy_data), "--head", "b", "--relation", "r0^-1", "--top", "2"])
+        assert rc == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
     def test_grid_listing(self, capsys):
         assert main(["grid"]) == 0

@@ -55,12 +55,11 @@ class TestLoadTriplets:
             load_triplets(str(f), entity_vocab=ev)
 
     def test_vocab_roundtrip_identical_ids(self, tmp_path):
+        # checkpoints store the token list and rebuild a fixed vocabulary from it
         f = tmp_path / "t.txt"
         write_lines(f, ["a\tr1\tb", "c\tr2\ta"])
         _, ev, _ = load_triplets(str(f))
-        vocab_file = tmp_path / "entities.txt"
-        ev.save(str(vocab_file))
-        reloaded = Vocabulary.load(str(vocab_file))
+        reloaded = Vocabulary(list(ev.tokens), frozen=True)
         assert reloaded.tokens == ev.tokens
         assert all(reloaded.id(tok) == ev.id(tok) for tok in ev.tokens)
 
@@ -117,13 +116,14 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             g.heads[0] = 5
 
-    def test_edge_mask_excluding(self):
+    def test_excluded_edge_endpoints(self):
         trips = [Triplet(0, 0, 1), Triplet(1, 0, 2), Triplet(0, 0, 1)]
         g = build_graph(trips, 3, 1, add_inverse=True)
-        mask = g.edge_mask_excluding(0, 0, 1)
-        # both duplicate copies plus both inverse copies are zeroed
-        assert mask.shape == (6, 1) and mask.sum() == 2.0
-        assert g.edge_mask_excluding(2, 0, 0) is None
+        src, rel, tgt = g.excluded_edge_endpoints(0, 0, 1)
+        # both duplicate copies plus both inverse copies are excluded
+        assert sorted(zip(src.tolist(), rel.tolist(), tgt.tolist())) == [
+            (0, 0, 1), (0, 0, 1), (1, 1, 0), (1, 1, 0)]
+        assert g.excluded_edge_endpoints(2, 0, 0) is None
 
 
 class TestFilterSets:

@@ -143,15 +143,6 @@ class TestEvaluate:
         report, records = evaluate(g, queries, params, cfg, noise_seed=7, per_query=True)
         assert len(records) == 2 and records[0]["head"] == 0 and "rank" in records[0]
 
-    def test_threaded_matches_serial(self, rng):
-        cfg, params = make_model(num_relations=4, seed=32, noise_mode="fixed_seed")
-        g = random_graph(rng, 8, 2, 14)
-        queries = [Query(int(i % 8), int(i % 4), int((i + 1) % 8), frozenset({int((i + 1) % 8)}))
-                   for i in range(12)]
-        serial = evaluate(g, queries, params, cfg)
-        threaded = evaluate(g, queries, params, cfg, threads=4)
-        assert serial == threaded
-
 
 requires_umls = pytest.mark.skipif(
     not os.path.exists(os.path.join(UMLS_DIR, "train.txt")), reason="bundled UMLS files missing"

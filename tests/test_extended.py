@@ -6,7 +6,7 @@ import pytest
 
 from kgreason.data import build_graph, load_dataset
 from kgreason.model import ModelConfig
-from kgreason.training import TrainConfig, train
+from kgreason.training import TrainConfig, split_graph, train
 
 UMLS_DIR = os.path.join(os.path.dirname(__file__), "..", "data", "umls")
 FB15K237_DIR = os.path.join(os.path.dirname(__file__), "..", "data", "fb15k237")
@@ -53,10 +53,9 @@ class TestConvergedPredictSweep:
         relation reads as negative evidence.
         """
         import numpy as np
-        from dataclasses import replace
 
         from kgreason.data import Query, build_filter_sets
-        from kgreason.model import score_query
+        from kgreason.model import pin_noise, score_query
 
         dataset = load_dataset(UMLS_DIR)
         model_config = ModelConfig(hidden_dim=32, attention_layers=2, query_layers=2,
@@ -65,10 +64,9 @@ class TestConvergedPredictSweep:
         train_config = TrainConfig(learning_rate=5e-4, num_negatives=64, epochs=2,
                                    batch_size=16, seed=7, eval_interval=2, patience=99)
         result = train(dataset, model_config, train_config, log=print)
-        graph = build_graph(dataset.train, dataset.num_entities, dataset.num_relations,
-                            add_inverse=True)
+        graph, _ = split_graph(dataset, "train")
         filters = build_filter_sets(dataset.train, dataset.valid, dataset.test)
-        infer_config = replace(model_config, noise_mode="fixed_seed", noise_seed=7)
+        infer_config = pin_noise(model_config, 7)
         rng = np.random.default_rng(11)
         sample = rng.choice(len(dataset.train), size=150, replace=False)
         hits = 0

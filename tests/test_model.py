@@ -9,17 +9,15 @@ from kgreason.data import Query, Triplet, build_graph
 from kgreason.model import (
     ConfigError,
     DenseScopeError,
-    approximate_kernel,
     dense_attention,
     dense_attention_oracle,
-    exponential_kernel,
     forward,
+    head_indicator,
     linear_attention,
-    qrmpnn_forward,
-    relational_message,
+    relation_transform,
+    rmpnn_forward,
     score_query,
     transformer_layer,
-    vrmpnn_forward,
     ForwardState,
 )
 
@@ -61,35 +59,35 @@ class TestRelationalMessage:
         cfg, params = make_model(num_relations=2, seed=1)
         net = params.layers[0].heads[0].query_net
         net.rel_w.data[...] = 0.0
-        net.rel_b.data[...] = 1.0  # r_hat becomes the all-ones vector
+        net.rel_b.data[...] = 1.0  # every r_hat row becomes the all-ones vector
         t = Tape()
-        z = t.tensor(np.ones((3, cfg.hidden_dim)))
-        msg = relational_message(t, z, relation=1, rq=0, relations=params.relations, net=net)
-        np.testing.assert_allclose(msg.data, 1.0)
+        rhat = relation_transform(t, params.relations, 0, net)
+        np.testing.assert_allclose(rhat.data, 1.0)
 
     def test_zero_state_absorbs(self):
+        # all-zero initial states send zero messages along every edge, so each
+        # row is the first round's update of zero, as on an edgeless graph
         cfg, params = make_model(num_relations=2, seed=2)
         net = params.layers[0].heads[0].query_net
+        g = chain_graph(4)
         t = Tape()
-        z = t.tensor(np.zeros((4, cfg.hidden_dim)))
-        msg = relational_message(t, z, relation=0, rq=1, relations=params.relations, net=net)
-        np.testing.assert_allclose(msg.data, 0.0)
+        zeros = np.zeros((4, cfg.hidden_dim))
+        out = rmpnn_forward(t, g, t.tensor(zeros), 1, params.relations, net, zeros)
+        expected = mlp_np(np.zeros((1, cfg.hidden_dim)), net.rounds[0].update)
+        np.testing.assert_allclose(out.data, np.repeat(expected, 4, axis=0), atol=1e-12)
 
     def test_matches_scalar_loop_at_d4(self):
         cfg, params = make_model(num_relations=3, seed=3, hidden_dim=4)
         net = params.layers[0].heads[0].query_net
-        rng = np.random.default_rng(0)
-        z_np = rng.standard_normal((5, 4))
-        rq, rel = 2, 1
+        rq = 2
         t = Tape()
-        msg = relational_message(t, t.tensor(z_np), rel, rq, params.relations, net)
-        rhat = np.array([
+        rhat = relation_transform(t, params.relations, rq, net)
+        expected = np.array([[
             sum(params.relations.data[rq, i] * net.rel_w.data[i, rel * 4 + j] for i in range(4))
             + net.rel_b.data[rel, j]
-            for j in range(4)
+            for j in range(4)] for rel in range(3)
         ])
-        expected = np.array([[z_np[u, j] * rhat[j] for j in range(4)] for u in range(5)])
-        np.testing.assert_allclose(msg.data, expected, atol=1e-12)
+        np.testing.assert_allclose(rhat.data, expected, atol=1e-12)
 
 
 # --- query-side message passing ----------------------------------------------
@@ -104,7 +102,7 @@ class TestQrmpnn:
         x = rng.standard_normal((3, cfg.hidden_dim))
         eps = rng.standard_normal((3, cfg.hidden_dim))
         t = Tape()
-        out = qrmpnn_forward(t, g, t.tensor(x), 0, params.relations, net, eps)
+        out = rmpnn_forward(t, g, t.tensor(x), 0, params.relations, net, eps)
         z0 = np.concatenate([x, eps], 1) @ net.proj_w.data + net.proj_b.data
         expected = mlp_np(net.rounds[0].retain.data * z0, net.rounds[0].update)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -127,7 +125,7 @@ class TestQrmpnn:
             b.data[...] = 0.0
         x = np.array([[1.0, 2.0], [0.25, 0.5], [0.0, 0.0]])
         t = Tape()
-        out = qrmpnn_forward(t, g, t.tensor(x), 0, params.relations, net,
+        out = rmpnn_forward(t, g, t.tensor(x), 0, params.relations, net,
                              np.zeros((3, d)))
         np.testing.assert_allclose(out.data[1], x[1] + x[0], atol=1e-12)
         np.testing.assert_allclose(out.data[2], x[2] + x[1], atol=1e-12)
@@ -142,7 +140,7 @@ class TestQrmpnn:
         x = rng.standard_normal((8, cfg.hidden_dim))
         eps = rng.standard_normal((8, cfg.hidden_dim))
         t = Tape()
-        out = qrmpnn_forward(t, g, t.tensor(x), 1, params.relations, net, eps)
+        out = rmpnn_forward(t, g, t.tensor(x), 1, params.relations, net, eps)
         expected = rmpnn_edge_loop_oracle(g.edges, 8, x, eps, params.relations, 1, net)
         np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
@@ -154,7 +152,7 @@ class TestQrmpnn:
         net = params.layers[0].heads[0].query_net
         t = Tape()
         x = t.tensor(np.zeros((3, cfg.hidden_dim)))
-        out = qrmpnn_forward(t, g, x, 0, params.relations, net, np.zeros((3, cfg.hidden_dim)))
+        out = rmpnn_forward(t, g, x, 0, params.relations, net, np.zeros((3, cfg.hidden_dim)))
         np.testing.assert_allclose(out.data[1], out.data[2], atol=1e-12)
 
 
@@ -165,7 +163,7 @@ class TestVrmpnn:
         net = params.layers[0].heads[0].value_net
         t = Tape()
         x = t.tensor(np.zeros((4, cfg.hidden_dim)))
-        out = vrmpnn_forward(t, g, x, 0, 2, params.relations, net)
+        out = rmpnn_forward(t, g, x, 0, params.relations, net, head_indicator(cfg, 4, 2))
         others = [0, 1, 3]
         for u in others[1:]:
             np.testing.assert_allclose(out.data[u], out.data[others[0]], atol=1e-12)
@@ -183,7 +181,7 @@ class TestVrmpnn:
         net = params.layers[0].heads[0].value_net
         t = Tape()
         x = t.tensor(np.zeros((6, cfg.hidden_dim)))
-        out = vrmpnn_forward(t, g, x, 0, 0, params.relations, net)
+        out = rmpnn_forward(t, g, x, 0, params.relations, net, head_indicator(cfg, 6, 0))
         np.testing.assert_allclose(out.data[4], out.data[5], atol=1e-12)
         assert np.abs(out.data[1] - out.data[4]).max() > 1e-8
 
@@ -198,36 +196,9 @@ class TestVrmpnn:
         indicator = np.zeros((7, cfg.hidden_dim))
         indicator[head] = 1.0
         t = Tape()
-        out = vrmpnn_forward(t, g, t.tensor(x), 0, head, params.relations, net)
+        out = rmpnn_forward(t, g, t.tensor(x), 0, params.relations, net, head_indicator(cfg, 7, head))
         expected = rmpnn_edge_loop_oracle(g.edges, 7, x, indicator, params.relations, 0, net)
         np.testing.assert_allclose(out.data, expected, atol=1e-10)
-
-
-# --- kernels -------------------------------------------------------------------
-
-
-class TestKernels:
-    def test_parallel_antiparallel_orthogonal(self):
-        q = np.array([1.0, 0.0])
-        assert approximate_kernel(q, q) == pytest.approx(2.0)
-        assert approximate_kernel(q, -q) == pytest.approx(0.0)
-        assert approximate_kernel(q, np.array([0.0, 1.0])) == pytest.approx(1.0)
-
-    def test_exponential_values(self):
-        q = np.array([1.0, 0.0])
-        assert exponential_kernel(q, np.array([0.0, 1.0])) == pytest.approx(1.0)
-        assert exponential_kernel(q, q) == pytest.approx(np.e)
-
-    def test_range_and_gap_bound(self, rng):
-        d = 8
-        u = rng.standard_normal((500, d))
-        v = rng.standard_normal((500, d))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        for a, b in zip(u, v):
-            ka = approximate_kernel(a, b)
-            assert 0.0 <= ka <= 2.0
-            assert abs(ka - exponential_kernel(a, b)) <= np.e / 2
 
 
 # --- attention -----------------------------------------------------------------
@@ -336,7 +307,7 @@ class TestTransformerLayer:
         x = t.tensor(rng.standard_normal((7, cfg.hidden_dim)))
         q = Query(0, 1, 2, frozenset({2}))
         out = transformer_layer(t, g, x, q, params.relations, params.layers[0], cfg,
-                                np.zeros((7, cfg.hidden_dim)))
+                                np.zeros((7, cfg.hidden_dim)), head_indicator(cfg, 7, q.head))
         assert out.shape == (7, cfg.hidden_dim)
 
     def test_zero_ffn_reduces_to_layernorm(self, rng):
@@ -352,13 +323,14 @@ class TestTransformerLayer:
 
         t = Tape()
         x = t.tensor(rng.standard_normal((6, cfg.hidden_dim)))
-        out = transformer_layer(t, g, x, q, params.relations, layer, cfg, noise)
+        indicator = head_indicator(cfg, 6, q.head)
+        out = transformer_layer(t, g, x, q, params.relations, layer, cfg, noise, indicator)
 
         t2 = Tape()
         x2 = t2.tensor(x.data)
         from kgreason.model import linear_attention as _att  # recompute A by hand
-        zt = qrmpnn_forward(t2, g, x2, q.relation, params.relations, layer.heads[0].query_net, noise)
-        zh = vrmpnn_forward(t2, g, x2, q.relation, q.head, params.relations, layer.heads[0].value_net)
+        zt = rmpnn_forward(t2, g, x2, q.relation, params.relations, layer.heads[0].query_net, noise)
+        zh = rmpnn_forward(t2, g, x2, q.relation, params.relations, layer.heads[0].value_net, indicator)
         zb = _att(t2, zt, zh, layer.heads[0])
         a = t2.layer_norm(t2.add(x2, zb), layer.ln1_gain, layer.ln1_bias, cfg.layer_norm_eps)
         expected = t2.layer_norm(a, layer.ln2_gain, layer.ln2_bias, cfg.layer_norm_eps)
@@ -374,7 +346,7 @@ class TestTransformerLayer:
         def loss_fn():
             t = Tape()
             out = transformer_layer(t, g, t.tensor(x_in), q, params.relations,
-                                    params.layers[0], cfg, noise)
+                                    params.layers[0], cfg, noise, head_indicator(cfg, 5, q.head))
             return t, t.sum(t.sigmoid(out))
 
         report = grad_check(loss_fn, params.parameters(), step=1e-5, tolerance=1e-4)
@@ -406,7 +378,7 @@ class TestForward:
         forward(t, g, Query(0, 1, 2, frozenset({2})), params, cfg, state=state)
         assert len(state.x) == 3 and all(m.shape == (6, cfg.hidden_dim) for m in state.x)
         np.testing.assert_allclose(state.x[0], 0.0)
-        assert len(state.value_reprs) == 2 and len(state.value_reprs[0]) == 1
+        assert len(state.value_reprs) == 2 and state.value_reprs[0].shape == (6, cfg.hidden_dim)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(77)
@@ -428,18 +400,13 @@ class TestForward:
         permuted = score_query(g2, q2, params, cfg, noise=noise2)
         np.testing.assert_allclose(permuted[perm], base, atol=1e-10)
 
-    def test_multi_head_runs(self, rng):
-        cfg, params = make_model(num_relations=2, seed=27, heads=2)
-        g = random_graph(rng, 5, 1, 6)
-        scores = score_query(g, Query(0, 0, 1, frozenset({1})), params, cfg)
-        assert scores.shape == (5,)
-
     def test_parameter_names_unique_and_counted(self):
-        cfg, params = make_model(num_relations=4, seed=29, attention_layers=2, heads=2)
+        cfg, params = make_model(num_relations=4, seed=29, attention_layers=2)
         names = [p.name for p in params.parameters()]
         assert len(names) == len(set(names))
         assert params.count() == sum(p.data.size for p in params.parameters())
-        assert "layer1.head1.value.rel_w" in names and "relations" in names
+        assert "layer1.head0.value.rel_w" in names and "relations" in names
+        assert not any(".head1." in name or "merge" in name for name in names)
 
     def test_full_exponential_mode_routes_dense(self, rng):
         cfg, params = make_model(num_relations=2, seed=28, kernel_mode="full_exponential")

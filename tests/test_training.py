@@ -1,14 +1,15 @@
-"""Sampling, loss, optimizer, loop-determinism and checkpoint tests."""
+"""Sampling, loss, optimizer, loop-determinism, split-builder and checkpoint tests."""
 
 import numpy as np
 import pytest
 
-from conftest import make_config
+from conftest import make_config, set_header_heads
 from kgreason.autodiff import Parameter, Tape, grad_check
 from kgreason.data import DatasetSplit, Triplet, Vocabulary
 from kgreason.model import ModelConfig, ModelParams
 from kgreason.training import (
     AdamState,
+    CheckpointError,
     SamplingError,
     TrainConfig,
     adam_step,
@@ -17,6 +18,8 @@ from kgreason.training import (
     rng_stream,
     sample_negatives,
     save_checkpoint,
+    split_graph,
+    split_queries,
     train,
 )
 
@@ -236,29 +239,71 @@ class TestTrainLoop:
     def test_inductive_train_then_inference_graph_eval(self):
         # end-to-end inductive flow: train on one entity set, rank test
         # queries against a disjoint inference fact graph (shared relations)
-        from kgreason.data import (DatasetSplit, Vocabulary, build_graph, make_queries,
-                                   query_filters)
         from kgreason.evaluation import evaluate
 
-        train_trips = [Triplet(0, 0, 1), Triplet(1, 0, 2), Triplet(2, 1, 0), Triplet(1, 1, 3)]
-        valid_trips = [Triplet(0, 1, 2)]
-        inference = [Triplet(0, 0, 1), Triplet(1, 1, 2)]
-        test_trips = [Triplet(0, 0, 2)]
-        ds = DatasetSplit(
-            "toy-ind", "inductive", train_trips, valid_trips, test_trips,
-            Vocabulary([f"e{i}" for i in range(4)]), Vocabulary(["r0", "r1"]),
-            inference=inference, inference_entity_vocab=Vocabulary(["x0", "x1", "x2"]),
-        )
+        ds = toy_inductive_dataset()
         mcfg = make_config(noise_mode="per_forward")
-        result = train(ds, mcfg, toy_train_config(epochs=2), log=lambda *a, **k: None)
+        result = train(ds, mcfg, toy_train_config(epochs=2, eval_interval=1),
+                       log=lambda *a, **k: None)
+        assert [r["split"] for r in result.history] == ["train", "valid"] * 2
 
-        graph = build_graph(ds.inference, ds.num_inference_entities, ds.num_relations,
-                            add_inverse=True)
-        filters = query_filters([ds.inference, ds.test], ds.num_relations)
-        queries = make_queries(ds.test, ds.num_relations, filters)
+        graph, _ = split_graph(ds, "test")
+        [queries] = split_queries(ds, "test")
         report = evaluate(graph, queries, result.params, mcfg, noise_seed=1)
         assert report.count == 2
         assert 0.0 < report.mrr <= 1.0
+
+
+def toy_inductive_dataset() -> DatasetSplit:
+    """Four training entities; test facts live on a three-entity inference graph."""
+    return DatasetSplit(
+        "toy-ind", "inductive",
+        train=[Triplet(0, 0, 1), Triplet(1, 0, 2), Triplet(2, 1, 0), Triplet(1, 1, 3)],
+        valid=[Triplet(0, 1, 2)],
+        test=[Triplet(0, 0, 2)],
+        entity_vocab=Vocabulary([f"e{i}" for i in range(4)]),
+        relation_vocab=Vocabulary(["r0", "r1"]),
+        inference=[Triplet(0, 0, 1), Triplet(1, 1, 2)],
+        inference_entity_vocab=Vocabulary(["x0", "x1", "x2"]),
+    )
+
+
+class TestSplitBuilder:
+    def test_transductive_splits_share_graph_and_filters(self):
+        ds = toy_dataset()
+        for split in ("train", "valid", "test"):
+            graph, vocab = split_graph(ds, split)
+            assert vocab is ds.entity_vocab and graph.num_entities == 6
+            assert graph.num_edges == 2 * len(ds.train)
+        known = {}
+        for h, r, t in ds.train + ds.valid + ds.test:
+            known.setdefault((h, r), set()).add(t)
+            known.setdefault((t, r + 2), set()).add(h)
+        for split, queries in zip(("train", "valid", "test"), split_queries(ds, "train", "valid", "test")):
+            assert len(queries) == 2 * len(getattr(ds, split))
+            for q in queries:
+                assert q.filter_set == known[(q.head, q.relation)]
+
+    def test_inductive_test_runs_on_inference_graph(self):
+        ds = toy_inductive_dataset()
+        graph, vocab = split_graph(ds, "test")
+        assert vocab is ds.inference_entity_vocab
+        assert graph.num_entities == 3 and graph.num_edges == 2 * len(ds.inference)
+        for split in ("train", "valid"):
+            graph, vocab = split_graph(ds, split)
+            assert vocab is ds.entity_vocab and graph.num_edges == 2 * len(ds.train)
+
+    def test_inductive_filters_stay_in_their_id_space(self):
+        ds = toy_inductive_dataset()
+        [valid] = split_queries(ds, "valid")
+        assert valid[0].filter_set == {2} and valid[1].filter_set == {0}
+        train_q, valid_q = split_queries(ds, "train", "valid")
+        assert valid_q == valid
+        # test fact (x0, r0, x2) has ids (0, 0, 2) in the inference vocabulary;
+        # it must not filter the training-graph query (e0, r0)
+        assert train_q[0].filter_set == {1}
+        [test] = split_queries(ds, "test")
+        assert test[0].filter_set == {1, 2}  # inference (x0, r0, x1) plus the test fact
 
 
 class TestCheckpointContainer:
@@ -280,8 +325,6 @@ class TestCheckpointContainer:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_resume_with_different_architecture_rejected(self, tmp_path):
-        from kgreason.training import CheckpointError
-
         ds = toy_dataset()
         mcfg = make_config(noise_mode="per_forward")
         out = tmp_path / "base"
@@ -291,6 +334,21 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointError, match="architecture"):
             train(ds, other, toy_train_config(epochs=2),
                   resume_from=str(out / "checkpoint.bin"), log=lambda *a, **k: None)
+
+    def test_header_head_count(self, tmp_path):
+        # headers written before the head count was dropped carry "heads": 1
+        mcfg = ModelConfig(hidden_dim=8, attention_layers=1, query_layers=1, value_layers=1)
+        params = ModelParams(mcfg, 4, np.random.default_rng(8))
+        path = tmp_path / "c.bin"
+        save_checkpoint(str(path), params, AdamState(params.parameters()), mcfg, TrainConfig(),
+                        ["e"], ["r"], {}, {})
+        set_header_heads(path, 1)
+        ck = load_checkpoint(str(path))
+        for p in params.parameters():
+            np.testing.assert_array_equal(ck.params.by_name()[p.name].data, p.data)
+        set_header_heads(path, 2)
+        with pytest.raises(CheckpointError, match="2 attention heads"):
+            load_checkpoint(str(path))
 
     def test_loaded_values_match(self, tmp_path):
         mcfg = ModelConfig(hidden_dim=16, attention_layers=1, query_layers=1, value_layers=1)
