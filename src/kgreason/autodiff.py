@@ -34,10 +34,6 @@ class DeterminismError(Exception):
     """A closure expected to be deterministic produced differing values."""
 
 
-class NumericsError(Exception):
-    """A forward op produced NaN/Inf from finite inputs (debug mode)."""
-
-
 def _as_matrix(data, dtype=None) -> np.ndarray:
     arr = np.asarray(data, dtype=dtype)
     if arr.ndim == 0:
@@ -168,12 +164,10 @@ class Tape:
     """Ordered record of primitive ops plus their adjoint closures.
 
     ``grad=False`` skips closure creation for inference-only passes.
-    ``debug=True`` checks every forward result for NaN/Inf.
     """
 
-    def __init__(self, grad: bool = True, debug: bool = False):
+    def __init__(self, grad: bool = True):
         self.grad_enabled = grad
-        self.debug = debug
         self._record: list[tuple[Tensor, object]] = []
 
     def __len__(self):
@@ -183,8 +177,6 @@ class Tape:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        if self.debug and not np.all(np.isfinite(data)):
-            raise NumericsError(f"{op}: non-finite forward value")
         if self.grad_enabled:
             self._record.append((out, bwd))
         return out

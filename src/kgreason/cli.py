@@ -29,7 +29,8 @@ from .data import (
 from .data import load_triplets, make_queries, query_filters  # noqa: F401
 from .evaluation import evaluate
 from .model import (
-    ModelConfig, ModelParams, dense_attention_oracle, forward, ForwardState, pin_noise, score_query,
+    ConfigError, ModelConfig, ModelParams, dense_attention_oracle, forward, ForwardState, pin_noise,
+    score_query,
 )
 from .training import (
     CheckpointError, TrainConfig, load_checkpoint, negative_sampling_loss, sample_negatives,
@@ -42,14 +43,29 @@ class UserError(Exception):
 
 
 @dataclasses.dataclass
+class DatasetSettings:
+    path: str = ""
+    mode: str = "auto"
+
+
+@dataclasses.dataclass
 class RunSettings:
-    dataset_path: str = ""
-    dataset_mode: str = "auto"
     output_dir: str = ""
     verbosity: str = "info"
 
 
-_SECTION_TYPES = {"dataset": None, "model": ModelConfig, "training": TrainConfig, "run": RunSettings}
+# The settings schema: config sections in file order, each parsed into its dataclass.
+SECTIONS = {"dataset": DatasetSettings, "model": ModelConfig, "training": TrainConfig,
+            "run": RunSettings}
+
+# Default hyperparameter search grids per section: ``kgreason grid`` prints them and
+# ``kgreason train`` warns about values outside them.
+GRIDS = {
+    "model": {"hidden_dim": (16, 32, 64), "attention_layers": (1, 2, 3),
+              "query_layers": (1, 2, 3), "value_layers": (1, 2, 3)},
+    "training": {"learning_rate": (1e-4, 5e-4, 1e-3, 5e-3), "weight_decay": (0.0, 1e-6, 1e-5, 1e-4),
+                 "num_negatives": (2**6, 2**8, 2**10, 2**12, 2**14, 2**16)},
+}
 
 
 def _cast(raw: str, annotation):
@@ -63,23 +79,16 @@ def _cast(raw: str, annotation):
         if raw.lower() in ("false", "0", "no", "off"):
             return False
         raise UserError(f"expected a boolean, got {raw!r}")
-    if annotation is int:
-        return int(raw)
-    if annotation is float:
-        return float(raw)
+    if annotation in (int, float):
+        try:
+            return annotation(raw)
+        except ValueError:
+            raise UserError(f"expected {annotation.__name__}, got {raw!r}") from None
     return raw
 
 
-_RUN_KEY_MAP = {
-    ("dataset", "path"): "dataset_path",
-    ("dataset", "mode"): "dataset_mode",
-    ("run", "output_dir"): "output_dir",
-    ("run", "verbosity"): "verbosity",
-}
-
-
-def load_run_config(path: str, overrides=()):
-    """Parse a config file into (RunSettings, ModelConfig, TrainConfig).
+def load_run_config(path: str, overrides=()) -> dict:
+    """Parse a config file into one settings object per section of ``SECTIONS``.
 
     Unknown sections or keys are rejected outright so typos cannot
     silently fall back to defaults.
@@ -88,7 +97,10 @@ def load_run_config(path: str, overrides=()):
         raise UserError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case
-    parser.read(path)
+    try:
+        parser.read(path)
+    except configparser.Error as exc:
+        raise UserError(f"malformed config file: {exc}") from None
     values = {section: dict(parser[section]) for section in parser.sections()}
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
@@ -97,18 +109,9 @@ def load_run_config(path: str, overrides=()):
         section, name = key.split(".", 1)
         values.setdefault(section, {})[name] = val
 
-    unknown_sections = set(values) - set(_SECTION_TYPES)
+    unknown_sections = set(values) - set(SECTIONS)
     if unknown_sections:
         raise UserError(f"unknown config sections: {sorted(unknown_sections)}")
-
-    run_kwargs = {}
-    for section in ("dataset", "run"):
-        for key, raw in values.get(section, {}).items():
-            name = _RUN_KEY_MAP.get((section, key))
-            if name is None:
-                raise UserError(f"unknown key {key!r} in section [{section}]")
-            run_kwargs[name] = _cast(raw, typing.get_type_hints(RunSettings)[name])
-    run = RunSettings(**run_kwargs)
 
     def build(section, cls):
         hints = typing.get_type_hints(cls)
@@ -120,17 +123,15 @@ def load_run_config(path: str, overrides=()):
             kwargs[key] = _cast(raw, hints[key])
         return cls(**kwargs)
 
-    return run, build("model", ModelConfig), build("training", TrainConfig)
+    return {section: build(section, cls) for section, cls in SECTIONS.items()}
 
 
-def echo_config(out_dir: str, run: RunSettings, model: ModelConfig, training: TrainConfig) -> None:
+def echo_config(out_dir: str, settings: dict) -> None:
     """Write the fully resolved effective config next to the run outputs."""
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    parser["dataset"] = {"path": run.dataset_path, "mode": run.dataset_mode}
-    parser["model"] = {k: "" if v is None else str(v) for k, v in dataclasses.asdict(model).items()}
-    parser["training"] = {k: "" if v is None else str(v) for k, v in dataclasses.asdict(training).items()}
-    parser["run"] = {"output_dir": run.output_dir, "verbosity": run.verbosity}
+    for section, values in settings.items():
+        parser[section] = {k: "" if v is None else str(v) for k, v in dataclasses.asdict(values).items()}
     with open(os.path.join(out_dir, "resolved.cfg"), "w", encoding="utf-8") as fh:
         parser.write(fh)
 
@@ -158,23 +159,33 @@ def _relation_token(relation: int, relation_vocab: Vocabulary) -> str:
     return relation_vocab[relation - num_base] + "^-1"
 
 
+def grid_warnings(settings: dict) -> list[str]:
+    """Values outside the default hyperparameter search grids (allowed, flagged)."""
+    return [f"{name}={getattr(settings[section], name)} is outside the default grid {grid}"
+            for section, grids in GRIDS.items() for name, grid in grids.items()
+            if getattr(settings[section], name) not in grid]
+
+
 def cmd_train(args) -> int:
-    run, model, training = load_run_config(args.config, args.set or [])
+    settings = load_run_config(args.config, args.set or [])
+    settings["model"].validate()
+    dataset_settings, run = settings["dataset"], settings["run"]
     if args.seed is not None:
-        training.seed = args.seed
+        settings["training"].seed = args.seed
     if args.out:
         run.output_dir = args.out
-    for warning in model.grid_warnings() + training.grid_warnings():
+    for warning in grid_warnings(settings):
         print(f"warning: {warning}", file=sys.stderr)
-    if not run.dataset_path:
+    if not dataset_settings.path:
         raise UserError("no dataset path configured")
-    dataset = _load_dataset(run.dataset_path, run.dataset_mode)
+    dataset = _load_dataset(dataset_settings.path, dataset_settings.mode)
     out_dir = run.output_dir or None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        echo_config(out_dir, run, model, training)
+        echo_config(out_dir, settings)
     log = (lambda *a, **k: None) if run.verbosity == "quiet" else print
-    result = train(dataset, model, training, out_dir=out_dir, resume_from=args.resume, log=log)
+    result = train(dataset, settings["model"], settings["training"], out_dir=out_dir,
+                   resume_from=args.resume, log=log)
     best = result.best
     print(f"done: best validation MRR {best['mrr']:.4f} at epoch {best['epoch']}"
           if best["mrr"] >= 0 else "done (no validation evaluations ran)")
@@ -223,10 +234,8 @@ def cmd_eval(args) -> int:
 
 def cmd_grid(args) -> int:
     """Print the default hyperparameter search grids, one JSON object."""
-    from .model import SEARCH_GRIDS
-    from .training import TRAIN_GRIDS
-    print(json.dumps({"model": {k: list(v) for k, v in SEARCH_GRIDS.items()},
-                      "training": {k: list(v) for k, v in TRAIN_GRIDS.items()}}, sort_keys=True))
+    print(json.dumps({section: {k: list(v) for k, v in grids.items()} for section, grids in GRIDS.items()},
+                     sort_keys=True))
     return 0
 
 
@@ -341,8 +350,7 @@ def cmd_diagnose(args) -> int:
         answer = int(np.argmax(scores.data[:, 0]))
         ztilde = state.query_reprs[-1]
         zhat = state.value_reprs[-1]
-        _, attn = dense_attention_oracle(ztilde, zhat, ck.params.layers[-1].heads[0],
-                                         config.kernel_mode, guard=config.dense_guard)
+        _, attn = dense_attention_oracle(ztilde, zhat, ck.params.layers[-1].heads[0], config.kernel_mode)
         row = attn[answer].copy()
         row[answer] = -1.0  # exclude the answer itself from its own top list
         top = np.argsort(-row, kind="stable")[:args.top]
@@ -364,15 +372,14 @@ def cmd_diagnose(args) -> int:
     raise UserError(f"unknown diagnose subcommand {args.subcommand!r}")
 
 
-def scaling_measurements(sizes, dim=32, reps=3, seed=0, config_overrides=None):
+def scaling_measurements(sizes, dim=32, reps=3, seed=0):
     """Median forward wall-clock on synthetic chains of each size."""
     times = []
     for n in sizes:
         trips = [Triplet(i, 0, i + 1) for i in range(n - 1)]
         graph = build_graph(trips, n, 1, add_inverse=True)
         config = ModelConfig(hidden_dim=dim, attention_layers=2, query_layers=2, value_layers=2,
-                             precision="float64", noise_mode="fixed_seed", noise_seed=seed,
-                             **(config_overrides or {}))
+                             precision="float64", noise_mode="fixed_seed", noise_seed=seed)
         params = ModelParams(config, 2, np.random.default_rng(seed))
         query = Query(0, 0, n - 1, frozenset({n - 1}))
         score_query(graph, query, params, config)  # warm up allocations
@@ -481,7 +488,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UserError, CheckpointError, ParseError, VocabularyError) as exc:
+    except (UserError, ConfigError, CheckpointError, ParseError, VocabularyError) as exc:
         # bad configs, checkpoints, data files or tokens: all the operator's to fix
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,13 +22,12 @@ import numpy as np
 from .autodiff import Parameter, RowIndex, Tape, Tensor
 from .data import KnowledgeGraph, Query
 
-SEARCH_GRIDS = {
-    "hidden_dim": (16, 32, 64),
-    "attention_layers": (1, 2, 3),
-    "query_layers": (1, 2, 3),
-    "value_layers": (1, 2, 3),
-}
-
+MLP_DEPTH = 3          # linear layers in each message-passing round's update network
+FFN_DEPTH = 2          # linear layers in each transformer layer's feed-forward block
+FFN_MULTIPLIER = 4     # feed-forward hidden width, in multiples of hidden_dim
+LAYER_NORM_EPS = 1e-5
+NORM_EPS = 1e-12       # guards the row normalization of attention queries and keys
+DENSE_GUARD = 4096     # largest entity count the quadratic dense attention accepts
 
 class ConfigError(Exception):
     pass
@@ -44,20 +43,13 @@ class ModelConfig:
     attention_layers: int = 2
     query_layers: int = 2
     value_layers: int = 2
-    mlp_depth: int = 3
-    ffn_depth: int = 2
-    ffn_multiplier: int = 4
     kernel_mode: str = "approximate"
     noise_mode: str = "per_forward"
     noise_seed: int = 0
     precision: str = "float64"
-    layer_norm_eps: float = 1e-5
-    norm_eps: float = 1e-12
-    dense_guard: int = 4096
 
     def validate(self) -> None:
-        for name in ("hidden_dim", "attention_layers", "query_layers", "value_layers",
-                     "mlp_depth", "ffn_depth", "ffn_multiplier"):
+        for name in ("hidden_dim", "attention_layers", "query_layers", "value_layers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.kernel_mode not in ("approximate", "full_exponential"):
@@ -66,14 +58,6 @@ class ModelConfig:
             raise ConfigError(f"unknown noise_mode {self.noise_mode!r}")
         if self.precision not in ("float64", "float32"):
             raise ConfigError(f"unknown precision {self.precision!r}")
-
-    def grid_warnings(self) -> list[str]:
-        """Values outside the default hyperparameter search grids (allowed, flagged)."""
-        warnings = []
-        for name, grid in SEARCH_GRIDS.items():
-            if getattr(self, name) not in grid:
-                warnings.append(f"{name}={getattr(self, name)} is outside the default grid {grid}")
-        return warnings
 
     @property
     def dtype(self):
@@ -194,7 +178,7 @@ class ModelParams:
             rounds = [
                 RmpnnRound(
                     ones(f"{prefix}.round{i}.retain", 1, d),
-                    mlp(f"{prefix}.round{i}.update", [d] * (config.mlp_depth + 1)),
+                    mlp(f"{prefix}.round{i}.update", [d] * (MLP_DEPTH + 1)),
                 )
                 for i in range(num_rounds)
             ]
@@ -219,7 +203,7 @@ class ModelParams:
                 w2=weight(f"{hp}.w2", d, d),
                 b2=zeros(f"{hp}.b2", 1, d),
             )
-            ffn_dims = [d] + [config.ffn_multiplier * d] * (config.ffn_depth - 1) + [d]
+            ffn_dims = [d] + [FFN_MULTIPLIER * d] * (FFN_DEPTH - 1) + [d]
             self.layers.append(LayerParams(
                 heads=[head],
                 ln1_gain=ones(f"{pre}.ln1.gain", 1, d),
@@ -290,14 +274,13 @@ def rmpnn_forward(tape: Tape, graph: KnowledgeGraph, x: Tensor, rq: int,
 # --- attention -------------------------------------------------------------
 
 
-def _projected_qk(tape: Tape, ztilde: Tensor, head: AttentionHeadParams, eps: float):
-    q = tape.row_l2_normalize(tape.add(tape.matmul(ztilde, head.w1), head.b1), eps)
-    k = tape.row_l2_normalize(tape.add(tape.matmul(ztilde, head.w2), head.b2), eps)
+def _projected_qk(tape: Tape, ztilde: Tensor, head: AttentionHeadParams):
+    q = tape.row_l2_normalize(tape.add(tape.matmul(ztilde, head.w1), head.b1), NORM_EPS)
+    k = tape.row_l2_normalize(tape.add(tape.matmul(ztilde, head.w2), head.b2), NORM_EPS)
     return q, k
 
 
-def linear_attention(tape: Tape, ztilde: Tensor, zhat: Tensor,
-                     head: AttentionHeadParams, eps: float = 1e-12) -> Tensor:
+def linear_attention(tape: Tape, ztilde: Tensor, zhat: Tensor, head: AttentionHeadParams) -> Tensor:
     """Kernelized all-pair mixing in factored O(|V| d^2) order.
 
     Equivalent to dense attention with effective score
@@ -308,7 +291,7 @@ def linear_attention(tape: Tape, ztilde: Tensor, zhat: Tensor,
     if n == 0:
         return zhat
     dt = ztilde.data.dtype
-    q, k = _projected_qk(tape, ztilde, head, eps)
+    q, k = _projected_qk(tape, ztilde, head)
     v = zhat
     colsum_k = tape.scale(tape.mean_rows(k), n)                 # 1^T K, (1, d)
     qk1 = tape.matmul(q, tape.transpose(colsum_k))              # Q (K^T 1), (n, 1)
@@ -320,44 +303,36 @@ def linear_attention(tape: Tape, ztilde: Tensor, zhat: Tensor,
     return tape.mul(mixed, tape.reciprocal(denom))
 
 
-def dense_attention(tape: Tape, ztilde: Tensor, zhat: Tensor, head: AttentionHeadParams,
-                    kernel_mode: str, eps: float = 1e-12, guard: int = 4096) -> Tensor:
-    """Explicit |V| x |V| attention (differentiable); the full-exponential route."""
+def dense_attention(tape: Tape, ztilde: Tensor, zhat: Tensor, head: AttentionHeadParams) -> Tensor:
+    """Explicit |V| x |V| exponential-kernel attention (differentiable); the full-exponential route."""
     n = ztilde.shape[0]
-    if n > guard:
-        raise DenseScopeError(f"dense attention refused: {n} entities > guard {guard}")
-    if n == 0:
-        return zhat
+    if n > DENSE_GUARD:
+        raise DenseScopeError(f"dense attention refused: {n} entities > guard {DENSE_GUARD}")
     dt = ztilde.data.dtype
-    q, k = _projected_qk(tape, ztilde, head, eps)
-    s = tape.matmul(q, tape.transpose(k))
-    if kernel_mode == "full_exponential":
-        scores = tape.exp(s)
-    else:
-        scores = tape.add(s, tape.tensor(np.ones((1, 1), dtype=dt)))
+    q, k = _projected_qk(tape, ztilde, head)
+    scores = tape.exp(tape.matmul(q, tape.transpose(k)))
     scores = tape.add(scores, tape.tensor(n * np.eye(n, dtype=dt)))
     rowsum = tape.matmul(scores, tape.tensor(np.ones((n, 1), dtype=dt)))
     attn = tape.mul(scores, tape.reciprocal(rowsum))
     return tape.matmul(attn, zhat)
 
 
-def _rownorm_np(a: np.ndarray, eps: float) -> np.ndarray:
-    return a / np.sqrt((a * a).sum(axis=1, keepdims=True) + eps)
+def _rownorm_np(a: np.ndarray) -> np.ndarray:
+    return a / np.sqrt((a * a).sum(axis=1, keepdims=True) + NORM_EPS)
 
 
 def dense_attention_oracle(ztilde: np.ndarray, zhat: np.ndarray, head: AttentionHeadParams,
-                           kernel_mode: str = "approximate", eps: float = 1e-12,
-                           guard: int = 4096):
+                           kernel_mode: str = "approximate"):
     """Independent dense reference: returns (mixed values, attention matrix).
 
     Pure numpy, no tape; attention rows are the normalized effective scores
-    ``kernel + |V| * I`` and sum to one. Refuses graphs above ``guard``.
+    ``kernel + |V| * I`` and sum to one. Refuses graphs above ``DENSE_GUARD``.
     """
     n = ztilde.shape[0]
-    if n > guard:
-        raise DenseScopeError(f"oracle refused: {n} entities > guard {guard}")
-    q = _rownorm_np(ztilde @ head.w1.data + head.b1.data, eps)
-    k = _rownorm_np(ztilde @ head.w2.data + head.b2.data, eps)
+    if n > DENSE_GUARD:
+        raise DenseScopeError(f"oracle refused: {n} entities > guard {DENSE_GUARD}")
+    q = _rownorm_np(ztilde @ head.w1.data + head.b1.data)
+    k = _rownorm_np(ztilde @ head.w2.data + head.b2.data)
     s = q @ k.T
     scores = np.exp(s) if kernel_mode == "full_exponential" else 1.0 + s
     scores = scores + n * np.eye(n, dtype=scores.dtype)
@@ -419,13 +394,12 @@ def transformer_layer(tape: Tape, graph: KnowledgeGraph, x: Tensor, query: Query
     ztilde = rmpnn_forward(tape, graph, x, query.relation, relations, head.query_net, noise, exclude)
     zhat = rmpnn_forward(tape, graph, x, query.relation, relations, head.value_net, indicator, exclude)
     if config.kernel_mode == "approximate":
-        zbar = linear_attention(tape, ztilde, zhat, head, config.norm_eps)
+        zbar = linear_attention(tape, ztilde, zhat, head)
     else:
-        zbar = dense_attention(tape, ztilde, zhat, head, config.kernel_mode,
-                               config.norm_eps, config.dense_guard)
-    a = tape.layer_norm(tape.add(x, zbar), layer.ln1_gain, layer.ln1_bias, config.layer_norm_eps)
+        zbar = dense_attention(tape, ztilde, zhat, head)
+    a = tape.layer_norm(tape.add(x, zbar), layer.ln1_gain, layer.ln1_bias, LAYER_NORM_EPS)
     out = tape.layer_norm(tape.add(a, layer.ffn.apply(tape, a)),
-                          layer.ln2_gain, layer.ln2_bias, config.layer_norm_eps)
+                          layer.ln2_gain, layer.ln2_bias, LAYER_NORM_EPS)
     if state is not None:
         state.query_reprs.append(ztilde.data.copy())
         state.value_reprs.append(zhat.data.copy())

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -19,15 +20,15 @@ import numpy as np
 from .autodiff import Parameter, RowIndex, Tape, Tensor
 from .data import DatasetSplit, KnowledgeGraph, Vocabulary, build_graph, make_queries, query_filters
 from .evaluation import evaluate
-from .model import ModelConfig, ModelParams, forward, make_noise
+from .model import (
+    DENSE_GUARD, FFN_DEPTH, FFN_MULTIPLIER, LAYER_NORM_EPS, MLP_DEPTH, NORM_EPS, ModelConfig,
+    ModelParams, forward, make_noise,
+)
 
 SCORE_CLAMP = 1e-7
-
-TRAIN_GRIDS = {
-    "learning_rate": (1e-4, 5e-4, 1e-3, 5e-3),
-    "weight_decay": (0.0, 1e-6, 1e-5, 1e-4),
-    "num_negatives": (2**6, 2**8, 2**10, 2**12, 2**14, 2**16),
-}
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 _STREAMS = {"init": 0, "shuffle": 1, "negatives": 2, "noise": 3}
 
@@ -58,21 +59,11 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 16
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     eval_interval: int = 1          # epochs between validation evaluations
     patience: int = 5               # early stop after this many evals without improvement
     target_valid_mrr: Optional[float] = None   # stop once validation MRR reaches this
     max_valid_queries: Optional[int] = None    # subsample validation for cheap smoke runs
     log_timing: bool = True         # wall_ms in the metrics log (off for byte-identical logs)
-
-    def grid_warnings(self) -> list[str]:
-        warnings = []
-        for name, grid in TRAIN_GRIDS.items():
-            if getattr(self, name) not in grid:
-                warnings.append(f"{name}={getattr(self, name)} is outside the default grid {grid}")
-        return warnings
 
 
 def sample_negatives(rng: np.random.Generator, num_entities: int, gold: int, k: int) -> np.ndarray:
@@ -119,7 +110,7 @@ def adam_step(params: Sequence[Parameter], state: AdamState, config: TrainConfig
     """
     state.step += 1
     t = state.step
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
     for p in params:
@@ -132,13 +123,22 @@ def adam_step(params: Sequence[Parameter], state: AdamState, config: TrainConfig
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p.data -= config.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + config.adam_eps)
+        p.data -= config.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
 
 
 # --- checkpoint container ----------------------------------------------------
 
 _MAGIC = b"KGRCKPT1"
 _FORMAT_VERSION = 1
+
+# Settings that were once configurable and now have one value. Headers written
+# before they were fixed still record them; those load when the value matches.
+_RETIRED = {
+    "model_config": {"heads": 1, "mlp_depth": MLP_DEPTH, "ffn_depth": FFN_DEPTH,
+                     "ffn_multiplier": FFN_MULTIPLIER, "layer_norm_eps": LAYER_NORM_EPS,
+                     "norm_eps": NORM_EPS, "dense_guard": DENSE_GUARD},
+    "train_config": {"adam_beta1": ADAM_BETA1, "adam_beta2": ADAM_BETA2, "adam_eps": ADAM_EPS},
+}
 
 
 def _config_digest(model_config: ModelConfig, train_config: TrainConfig) -> str:
@@ -162,7 +162,6 @@ class Checkpoint:
     train_config: TrainConfig
     params: ModelParams
     adam: AdamState
-    num_relations: int
     entity_tokens: list
     relation_tokens: list
     rng_states: dict
@@ -223,46 +222,61 @@ def save_checkpoint(path: str, params: ModelParams, adam: AdamState,
             fh.write(raw)
 
 
+def _header_settings(path: str, header: dict, key: str, cls):
+    """The ``cls`` settings a header records under ``key``, less its retired keys."""
+    fields = dict(header[key])
+    for name, fixed in _RETIRED[key].items():
+        value = fields.pop(name, fixed)
+        if value != fixed:
+            raise CheckpointError(f"{path}: retired setting {key}.{name} = {value!r}; only {fixed!r} loads")
+    return cls(**fields)
+
+
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
         head_len = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(head_len).decode())
+        head = fh.read(head_len)
         payload = fh.read()
+    if len(head) != head_len:
+        raise CheckpointError(f"{path}: truncated checkpoint: header runs past the end of the file")
+    try:
+        header = json.loads(head)
+    except ValueError as exc:  # bad encoding or bad JSON
+        raise CheckpointError(f"{path}: unreadable checkpoint header: {exc}") from None
     if header["format_version"] != _FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format {header['format_version']}")
-    model_fields = dict(header["model_config"])
-    heads = model_fields.pop("heads", 1)  # earlier headers record the head count
-    if heads != 1:
-        raise CheckpointError(f"{path}: checkpoint has {heads} attention heads per layer; "
-                              "only single-head models are supported")
-    model_config = ModelConfig(**model_fields)
-    train_config = TrainConfig(**header["train_config"])
+    if sum(entry["nbytes"] for entry in header["tensors"]) != len(payload):
+        raise CheckpointError(f"{path}: truncated checkpoint: payload size differs from the header's")
+    model_config = _header_settings(path, header, "model_config", ModelConfig)
+    train_config = _header_settings(path, header, "train_config", TrainConfig)
     params = ModelParams(model_config, header["num_relations"], np.random.default_rng(0))
     adam = AdamState(params.parameters())
     adam.step = header["adam_step"]
     by_name = params.by_name()
-    stores = {"param": None, "adam_m": adam.m, "adam_v": adam.v}
-    seen = set()
+    moments = {"adam_m": adam.m, "adam_v": adam.v}
+    loaded = set()
     for entry in header["tensors"]:
-        raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
         wire = "<f8" if entry["dtype"] == "float64" else "<f4"
+        if entry["nbytes"] != math.prod(entry["shape"]) * np.dtype(wire).itemsize:
+            raise CheckpointError(f"{path}: tensor {entry['name']!r} has {entry['nbytes']} bytes, "
+                                  f"not the {entry['shape']} {entry['dtype']} its shape needs")
+        raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
         arr = np.frombuffer(raw, dtype=wire).astype(entry["dtype"]).reshape(entry["shape"])
         if entry["name"] not in by_name:
             raise CheckpointError(f"checkpoint tensor {entry['name']!r} not in model layout")
         if entry["role"] == "param":
-            by_name[entry["name"]].data = arr.copy()
+            by_name[entry["name"]].data = arr
+            loaded.add(entry["name"])
         else:
-            stores[entry["role"]][entry["name"]] = arr.copy()
-        seen.add((entry["name"], entry["role"]))
-    missing = {p.name for p in params.parameters()} - {n for n, r in seen if r == "param"}
+            moments[entry["role"]][entry["name"]] = arr
+    missing = set(by_name) - loaded
     if missing:
         raise CheckpointError(f"checkpoint missing tensors: {sorted(missing)[:5]}")
-    return Checkpoint(model_config, train_config, params, adam, header["num_relations"],
-                      header["entity_tokens"], header["relation_tokens"], header["rng"],
-                      header["training_state"])
+    return Checkpoint(model_config, train_config, params, adam, header["entity_tokens"],
+                      header["relation_tokens"], header["rng"], header["training_state"])
 
 
 # --- split builder -----------------------------------------------------------
@@ -319,13 +333,22 @@ class TrainResult:
 
 
 class _MetricsLog:
-    """Append-only JSON-lines writer that also keeps records in memory."""
+    """Append-only JSON-lines writer that also keeps records in memory.
 
-    def __init__(self, path: Optional[str]):
+    A run resumed from ``resume_epoch`` keeps the file's records up to that
+    epoch and drops later ones; a fresh run starts an empty file.
+    """
+
+    def __init__(self, path: Optional[str], resume_epoch: Optional[int] = None):
         self.path = path
         self.records = []
-        if path:
-            open(path, "w").close()
+        if not path:
+            return
+        if resume_epoch is not None and os.path.exists(path):
+            with open(path, encoding="utf-8") as fh:
+                self.records = [rec for rec in map(json.loads, fh) if rec["epoch"] <= resume_epoch]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in self.records)
 
     def emit(self, record: dict) -> None:
         self.records.append(record)
@@ -349,7 +372,6 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
     query's own edge and its inverse are dropped from message passing so
     the answer cannot leak through the graph.
     """
-    model_config.validate()
     num_rel_aug = 2 * dataset.num_relations
     graph, _ = split_graph(dataset, "train")
     train_queries, valid_queries = split_queries(dataset, "train", "valid")
@@ -382,7 +404,7 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
         f"({len(train_queries)} training queries)")
 
     metrics_path = os.path.join(out_dir, "metrics.jsonl") if out_dir else None
-    logger = _MetricsLog(metrics_path)
+    logger = _MetricsLog(metrics_path, start_epoch if resume_from else None)
     ckpt_path = os.path.join(out_dir, "checkpoint.bin") if out_dir else None
     best_path = os.path.join(out_dir, "best.bin") if out_dir else None
 
@@ -433,6 +455,10 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}; "
                     f"largest parameter norms: {_param_norms(params)}")
+            for p in params.parameters():
+                if not np.all(np.isfinite(p.grad)):
+                    raise TrainingDiverged(f"non-finite gradient in {p.name} at epoch {epoch}, "
+                                           f"batch {batch_no}")
             adam_step(params.parameters(), adam, train_config)
             epoch_loss += batch_loss
         mean_loss = epoch_loss / len(order)

@@ -45,12 +45,12 @@ def random_graph(rng, num_entities, num_base_relations, num_edges, add_inverse=T
     return build_graph(trips, num_entities, num_base_relations, add_inverse=add_inverse)
 
 
-def set_header_heads(path, heads: int) -> None:
-    """Rewrite a checkpoint's JSON header with ``model_config.heads`` set."""
+def set_header(path, section: str, key: str, value) -> None:
+    """Rewrite a checkpoint's JSON header with ``section.key`` set to ``value``."""
     blob = path.read_bytes()
     head_len = int.from_bytes(blob[8:16], "little")
     header = json.loads(blob[16:16 + head_len])
-    header["model_config"]["heads"] = heads
+    header[section][key] = value
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(blob[:8] + len(head).to_bytes(8, "little") + head + blob[16 + head_len:])
 

@@ -1,11 +1,20 @@
 """End-to-end command tests: exit codes, outputs, reproducibility."""
 
+import glob
 import json
+import os
 
 import pytest
 
-from conftest import set_header_heads
+from conftest import set_header
 from kgreason.cli import load_run_config, main, UserError
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+# settings that have one value and are no longer keys of any section
+RETIRED_KEYS = ("model.mlp_depth=3", "model.ffn_depth=2", "model.ffn_multiplier=4",
+                "model.layer_norm_eps=1e-5", "model.norm_eps=1e-12", "model.dense_guard=4096",
+                "training.adam_beta1=0.9", "training.adam_beta2=0.999", "training.adam_eps=1e-8")
 
 TOY_TRIPLES = [
     ("a", "r0", "b"), ("b", "r0", "c"), ("c", "r1", "d"), ("d", "r0", "e"),
@@ -61,23 +70,55 @@ def toy_config(tmp_path, toy_data):
 
 
 class TestConfigParsing:
-    def test_round_trip(self, toy_config):
-        run, model, training = load_run_config(str(toy_config))
-        assert model.hidden_dim == 8 and training.epochs == 2
-        assert run.verbosity == "quiet"
+    def test_round_trip(self, toy_config, toy_data):
+        settings = load_run_config(str(toy_config))
+        assert list(settings) == ["dataset", "model", "training", "run"]
+        assert settings["model"].hidden_dim == 8 and settings["training"].epochs == 2
+        assert settings["run"].verbosity == "quiet"
+        assert settings["dataset"].path == str(toy_data) and settings["dataset"].mode == "auto"
+
+    def test_resolved_config_loads_back_equal(self, toy_config, tmp_path):
+        overrides = ["training.epochs=0", "training.max_valid_queries=3"]
+        assert main(["train", "--config", str(toy_config), "--seed", "5",
+                     *(f"--set={item}" for item in overrides)]) == 0
+        settings = load_run_config(str(toy_config), overrides)
+        settings["training"].seed = 5
+        assert load_run_config(str(tmp_path / "run" / "resolved.cfg")) == settings
+
+    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.cfg"))),
+                             ids=os.path.basename)
+    def test_shipped_configs_parse(self, path):
+        settings = load_run_config(path)
+        assert settings["dataset"].path and settings["run"].output_dir
+        settings["model"].validate()
 
     def test_unknown_key_rejected(self, toy_config):
         with pytest.raises(UserError, match="unknown key"):
             load_run_config(str(toy_config), overrides=["model.not_a_knob=1"])
 
     def test_set_overrides_file(self, toy_config):
-        _, model, _ = load_run_config(str(toy_config), overrides=["model.hidden_dim=16"])
-        assert model.hidden_dim == 16
+        settings = load_run_config(str(toy_config), overrides=["model.hidden_dim=16"])
+        assert settings["model"].hidden_dim == 16
 
-    def test_removed_keys_rejected(self, toy_config):
-        for item in ("run.threads=2", "model.heads=1"):
+    def test_removed_keys_rejected(self, toy_config, capsys):
+        for item in ("run.threads=2", "model.heads=1", *RETIRED_KEYS):
+            section, key = item.split("=")[0].split(".")
             with pytest.raises(UserError, match="unknown key"):
                 load_run_config(str(toy_config), overrides=[item])
+            assert main(["train", "--config", str(toy_config), "--set", item]) == 2
+            assert capsys.readouterr().err.startswith(f"error: unknown key {key!r} in section [{section}]")
+
+    @pytest.mark.parametrize("item", ["model.hidden_dim=abc", "training.learning_rate=fast",
+                                      "model.kernel_mode=bogus", "model.precision=float16"])
+    def test_bad_values_exit_2(self, toy_config, item, capsys):
+        assert main(["train", "--config", str(toy_config), "--set", item]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_malformed_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("hidden_dim = 8\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed config file")
 
     def test_missing_config_is_user_error(self):
         with pytest.raises(UserError):
@@ -190,17 +231,27 @@ class TestEvalPredictCommands:
                 "--head", "a", "--relation", "r0", "-k", "3"]
         assert main(argv) == 0
         before = capsys.readouterr().out
-        set_header_heads(trained, 1)
+        set_header(trained, "model_config", "heads", 1)
         assert main(argv) == 0
         assert capsys.readouterr().out == before
 
     def test_multi_head_header_exits_2(self, trained, toy_data, capsys):
-        set_header_heads(trained, 2)
+        set_header(trained, "model_config", "heads", 2)
         rc = main(["predict", "--checkpoint", str(trained), "--data", str(toy_data),
                    "--head", "a", "--relation", "r0"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "2 attention heads" in err
+        assert err.startswith("error:") and "model_config.heads = 2" in err
+
+    @pytest.mark.parametrize("keep", [lambda blob: blob[:len(blob) // 2], lambda blob: blob[:-8]],
+                             ids=["half", "last-8-bytes-cut"])
+    def test_truncated_checkpoint_exits_2(self, trained, toy_data, keep, capsys):
+        trained.write_bytes(keep(trained.read_bytes()))
+        rc = main(["predict", "--checkpoint", str(trained), "--data", str(toy_data),
+                   "--head", "a", "--relation", "r0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "truncated checkpoint" in err
 
 
 INDUCTIVE_SPLITS = {

@@ -7,6 +7,8 @@ from conftest import chain_graph, make_config, make_model, random_graph
 from kgreason.autodiff import Tape, grad_check
 from kgreason.data import Query, Triplet, build_graph
 from kgreason.model import (
+    DENSE_GUARD,
+    LAYER_NORM_EPS,
     ConfigError,
     DenseScopeError,
     dense_attention,
@@ -281,19 +283,20 @@ class TestDenseOracle:
 
     def test_size_guard(self, rng):
         cfg, params, head = random_head(4, 2, 16)
-        z = rng.standard_normal((10, 4))
+        z = rng.standard_normal((DENSE_GUARD + 1, 4))
         with pytest.raises(DenseScopeError):
-            dense_attention_oracle(z, z, head, guard=5)
+            dense_attention_oracle(z, z, head)
 
     def test_tape_dense_path_matches_oracle(self, rng):
+        # the tape's dense path serves the exponential kernel only; criterion 1
+        # gates the approximate kernel's linear path against the same oracle
         cfg, params, head = random_head(8, 2, 17)
         zt = rng.standard_normal((15, 8))
         zh = rng.standard_normal((15, 8))
-        for mode in ("approximate", "full_exponential"):
-            t = Tape()
-            out = dense_attention(t, t.tensor(zt), t.tensor(zh), head, mode)
-            expected, _ = dense_attention_oracle(zt, zh, head, mode)
-            np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        t = Tape()
+        out = dense_attention(t, t.tensor(zt), t.tensor(zh), head)
+        expected, _ = dense_attention_oracle(zt, zh, head, "full_exponential")
+        np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
 # --- transformer layer and full forward ------------------------------------------
@@ -332,8 +335,8 @@ class TestTransformerLayer:
         zt = rmpnn_forward(t2, g, x2, q.relation, params.relations, layer.heads[0].query_net, noise)
         zh = rmpnn_forward(t2, g, x2, q.relation, params.relations, layer.heads[0].value_net, indicator)
         zb = _att(t2, zt, zh, layer.heads[0])
-        a = t2.layer_norm(t2.add(x2, zb), layer.ln1_gain, layer.ln1_bias, cfg.layer_norm_eps)
-        expected = t2.layer_norm(a, layer.ln2_gain, layer.ln2_bias, cfg.layer_norm_eps)
+        a = t2.layer_norm(t2.add(x2, zb), layer.ln1_gain, layer.ln1_bias, LAYER_NORM_EPS)
+        expected = t2.layer_norm(a, layer.ln2_gain, layer.ln2_bias, LAYER_NORM_EPS)
         np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
 
     def test_layer_gradients_match_finite_differences(self, rng):
@@ -413,6 +416,5 @@ class TestForward:
         g = random_graph(rng, 5, 1, 6)
         scores = score_query(g, Query(0, 0, 1, frozenset({1})), params, cfg)
         assert np.all((scores > 0) & (scores < 1))
-        cfg_small_guard = make_config(kernel_mode="full_exponential", dense_guard=3)
         with pytest.raises(DenseScopeError):
-            score_query(g, Query(0, 0, 1, frozenset({1})), params, cfg_small_guard)
+            score_query(chain_graph(DENSE_GUARD + 1), Query(0, 0, 1, frozenset({1})), params, cfg)

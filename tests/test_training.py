@@ -1,17 +1,21 @@
 """Sampling, loss, optimizer, loop-determinism, split-builder and checkpoint tests."""
 
+import json
+
 import numpy as np
 import pytest
 
-from conftest import make_config, set_header_heads
+from conftest import make_config, set_header
 from kgreason.autodiff import Parameter, Tape, grad_check
 from kgreason.data import DatasetSplit, Triplet, Vocabulary
 from kgreason.model import ModelConfig, ModelParams
 from kgreason.training import (
+    ADAM_EPS,
     AdamState,
     CheckpointError,
     SamplingError,
     TrainConfig,
+    TrainingDiverged,
     adam_step,
     load_checkpoint,
     negative_sampling_loss,
@@ -130,7 +134,7 @@ class TestAdam:
             cfg = TrainConfig(learning_rate=1e-3)
             state = AdamState([p])
             adam_step([p], state, cfg)
-            expected = 1.0 - cfg.learning_rate * g / (abs(g) + cfg.adam_eps)
+            expected = 1.0 - cfg.learning_rate * g / (abs(g) + ADAM_EPS)
             assert p.data[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_accumulated_gradients_average_like(self):
@@ -197,19 +201,38 @@ class TestTrainLoop:
 
         full_dir = tmp_path / "full"
         full_dir.mkdir()
-        train(ds, mcfg, toy_train_config(epochs=4), out_dir=str(full_dir), log=lambda *a, **k: None)
+        train(ds, mcfg, toy_train_config(epochs=4, eval_interval=1), out_dir=str(full_dir),
+              log=lambda *a, **k: None)
 
+        # resume into the run's own directory: its log keeps epochs 1-2, then
+        # gains 3-4; a stale epoch-3 record from an interrupted attempt is dropped
         half_dir = tmp_path / "half"
         half_dir.mkdir()
-        train(ds, mcfg, toy_train_config(epochs=2), out_dir=str(half_dir), log=lambda *a, **k: None)
-        resumed_dir = tmp_path / "resumed"
-        resumed_dir.mkdir()
-        train(ds, mcfg, toy_train_config(epochs=4), out_dir=str(resumed_dir),
-              resume_from=str(half_dir / "checkpoint.bin"), log=lambda *a, **k: None)
+        train(ds, mcfg, toy_train_config(epochs=2, eval_interval=1), out_dir=str(half_dir),
+              log=lambda *a, **k: None)
+        with open(half_dir / "metrics.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"epoch": 3, "split": "train"}\n')
+        result = train(ds, mcfg, toy_train_config(epochs=4, eval_interval=1), out_dir=str(half_dir),
+                       resume_from=str(half_dir / "checkpoint.bin"), log=lambda *a, **k: None)
 
-        full = (full_dir / "checkpoint.bin").read_bytes()
-        resumed = (resumed_dir / "checkpoint.bin").read_bytes()
-        assert full == resumed
+        assert (half_dir / "checkpoint.bin").read_bytes() == (full_dir / "checkpoint.bin").read_bytes()
+        log = (full_dir / "metrics.jsonl").read_bytes()
+        assert (half_dir / "metrics.jsonl").read_bytes() == log
+        assert [r["epoch"] for r in result.history] == [1, 1, 2, 2, 3, 3, 4, 4]
+
+    def test_non_finite_gradient_names_group(self, monkeypatch):
+        # a NaN planted in one accumulator survives backward; the loss stays finite
+        original = ModelParams.zero_grad
+
+        def poisoned(params):
+            original(params)
+            params.by_name()["layer0.head0.value.rel_b"].grad[0, 0] = np.nan
+
+        monkeypatch.setattr(ModelParams, "zero_grad", poisoned)
+        with pytest.raises(TrainingDiverged,
+                           match=r"non-finite gradient in layer0\.head0\.value\.rel_b at epoch 1, batch 0"):
+            train(toy_dataset(), make_config(noise_mode="per_forward"), toy_train_config(),
+                  log=lambda *a, **k: None)
 
     def test_trained_fact_scores_above_mean_negative(self):
         ds = toy_dataset()
@@ -335,19 +358,52 @@ class TestCheckpointContainer:
             train(ds, other, toy_train_config(epochs=2),
                   resume_from=str(out / "checkpoint.bin"), log=lambda *a, **k: None)
 
-    def test_header_head_count(self, tmp_path):
-        # headers written before the head count was dropped carry "heads": 1
+    def test_retired_header_keys(self, tmp_path):
+        # headers written while these were settings record them; only today's value loads
+        retired = {"model_config": {"heads": 1, "mlp_depth": 3, "ffn_depth": 2, "ffn_multiplier": 4,
+                                    "layer_norm_eps": 1e-5, "norm_eps": 1e-12, "dense_guard": 4096},
+                   "train_config": {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8}}
         mcfg = ModelConfig(hidden_dim=8, attention_layers=1, query_layers=1, value_layers=1)
         params = ModelParams(mcfg, 4, np.random.default_rng(8))
         path = tmp_path / "c.bin"
         save_checkpoint(str(path), params, AdamState(params.parameters()), mcfg, TrainConfig(),
                         ["e"], ["r"], {}, {})
-        set_header_heads(path, 1)
-        ck = load_checkpoint(str(path))
-        for p in params.parameters():
-            np.testing.assert_array_equal(ck.params.by_name()[p.name].data, p.data)
-        set_header_heads(path, 2)
-        with pytest.raises(CheckpointError, match="2 attention heads"):
+        pristine = path.read_bytes()
+        for section, keys in retired.items():
+            for key, value in keys.items():
+                set_header(path, section, key, value)
+            ck = load_checkpoint(str(path))
+            assert ck.model_config == mcfg and ck.train_config == TrainConfig()
+            for p in params.parameters():
+                np.testing.assert_array_equal(ck.params.by_name()[p.name].data, p.data)
+        for section, keys in retired.items():
+            for key, value in keys.items():
+                path.write_bytes(pristine)
+                set_header(path, section, key, 2 * value)
+                with pytest.raises(CheckpointError, match=rf"{section}\.{key} = "):
+                    load_checkpoint(str(path))
+
+    def test_corrupt_container_rejected(self, tmp_path):
+        mcfg = ModelConfig(hidden_dim=8, attention_layers=1, query_layers=1, value_layers=1)
+        params = ModelParams(mcfg, 4, np.random.default_rng(8))
+        path = tmp_path / "c.bin"
+        save_checkpoint(str(path), params, AdamState(params.parameters()), mcfg, TrainConfig(),
+                        ["e"], ["r"], {}, {})
+        blob = path.read_bytes()
+        head_len = int.from_bytes(blob[8:16], "little")
+        cases = {
+            "header runs past": blob[:16 + head_len // 2],
+            "unreadable checkpoint header": blob[:16] + b"{" * head_len + blob[16 + head_len:],
+            "payload size differs": blob[:-4],
+        }
+        for message, corrupt in cases.items():
+            path.write_bytes(corrupt)
+            with pytest.raises(CheckpointError, match=message):
+                load_checkpoint(str(path))
+        path.write_bytes(blob)
+        first = json.loads(blob[16:16 + head_len])["tensors"][0]
+        set_header(path, "tensors", 0, {**first, "shape": [first["shape"][0] + 1, first["shape"][1]]})
+        with pytest.raises(CheckpointError, match="its shape needs"):
             load_checkpoint(str(path))
 
     def test_loaded_values_match(self, tmp_path):
