@@ -130,6 +130,82 @@ class RowIndex:
         return self._plan
 
 
+# Fixed cost of running one bucket of a ProductSumPlan (its NumPy calls and their
+# temporaries), in padded rows. Two length classes share a bucket when the padding
+# that adds costs less than this.
+_BUCKET_COST_ROWS = 256
+
+
+class ProductSumPlan:
+    """Segment plan for ``out[key[e]] += a[ia[e]] * b[ib[e]]`` over index triples ``e``.
+
+    The entries that share a key form a segment. Segments are grouped into
+    buckets; each bucket pads its m segments to one length k, with padded
+    slots reading an appended zero row of ``b``, and stores its indices
+    k-major. Summing a bucket then adds contiguous blocks of (m * d) rows,
+    not a strided loop per segment and column: the top half of the k rows
+    is folded onto the bottom half until one row is left, a pairwise sum
+    whose rounding error grows with log2(k), not k. Buckets cover adjacent
+    power-of-two length classes, merged by an exact dynamic program that
+    weighs padded rows against ``_BUCKET_COST_ROWS`` per bucket. The order
+    of every sum depends only on the plan, so runs are deterministic.
+    Padded slots add ``a[row] * 0``, an exact zero for finite inputs.
+    """
+
+    __slots__ = ("num_keys", "num_a", "num_b", "buckets")
+
+    def __init__(self, keys, num_keys: int, ia, num_a: int, ib, num_b: int):
+        self.num_keys, self.num_a, self.num_b = int(num_keys), int(num_a), int(num_b)
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+        order = np.argsort(keys, kind="stable")
+        ia = np.asarray(ia, dtype=np.int64).reshape(-1)[order]
+        ib = np.asarray(ib, dtype=np.int64).reshape(-1)[order]
+        lengths = np.bincount(keys, minlength=self.num_keys)
+        starts = np.cumsum(lengths) - lengths
+        live = np.flatnonzero(lengths)
+        segs = live[np.argsort(lengths[live], kind="stable")]   # keys, shortest segment first
+        seg_len = lengths[segs]
+        length_class = np.frexp(seg_len - 1)[1]                  # ceil(log2(length))
+        cuts = [0, *(np.flatnonzero(np.diff(length_class)) + 1).tolist(), len(segs)] if len(segs) else [0]
+        # best[j]: cheapest cost of the first j classes; a bucket over classes i..j-1
+        # pads every segment in them to the longest one.
+        best, split = [0], [0]
+        for j in range(1, len(cuts)):
+            longest = int(seg_len[cuts[j] - 1])
+            cost, i = min((best[i] + _BUCKET_COST_ROWS + longest * (cuts[j] - cuts[i]), i)
+                          for i in range(j))
+            best.append(cost)
+            split.append(i)
+        bounds, j = [], len(cuts) - 1
+        while j > 0:
+            bounds.append((cuts[split[j]], cuts[j]))
+            j = split[j]
+        self.buckets = []
+        for lo, hi in reversed(bounds):
+            k = int(seg_len[hi - 1])
+            slot = np.arange(k)[:, None]
+            valid = slot < seg_len[lo:hi]
+            pos = starts[segs[lo:hi]] + np.minimum(slot, seg_len[lo:hi] - 1)
+            pad_b = np.where(valid, ib[pos], self.num_b)
+            self.buckets.append((segs[lo:hi], ia[pos].reshape(-1), pad_b.reshape(-1), k))
+
+    def run(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The (num_keys, d) product-sum of ``a`` (num_a, d) and ``b`` (num_b, d)."""
+        d = a.shape[1]
+        out = np.zeros((self.num_keys, d), dtype=np.result_type(a, b))
+        b = np.concatenate((b, np.zeros((1, d), dtype=b.dtype)))
+        for keys, ia, ib, k in self.buckets:
+            prod = a.take(ia, axis=0)
+            prod *= b.take(ib, axis=0)
+            prod = prod.reshape(k, -1)
+            while k > 1:
+                half = k // 2
+                prod[:half] += prod[k - half:k]
+                k -= half
+            out[keys] = prod[0].reshape(-1, d)
+        return out
+
+
 def _scatter_add(num_rows: int, rows: RowIndex, values: np.ndarray) -> np.ndarray:
     out = np.zeros((num_rows, values.shape[1]), dtype=values.dtype)
     if len(rows) == 0:
@@ -425,6 +501,24 @@ class Tape:
             a._add_grad(g.take(idx, axis=0), fresh=True)
 
         return self._emit("scatter_add_rows", _scatter_add(num_rows, rows, a.data), bwd)
+
+    def relational_aggregate(self, z: Tensor, rhat: Tensor, graph) -> Tensor:
+        """Message aggregation ``agg[t] = sum over facts r(s, t) of z[s] * rhat[r]``.
+
+        ``graph`` holds three ProductSumPlans over its facts: ``by_target``
+        computes the value, ``by_source`` and ``by_relation`` the adjoints for
+        ``z`` and ``rhat``. No (|E|, d) tensor is recorded.
+        """
+        plan = graph.by_target
+        if z.shape[0] != plan.num_a or rhat.shape[0] != plan.num_b or z.shape[1] != rhat.shape[1]:
+            raise ShapeError("relational_aggregate", z.shape, rhat.shape)
+        zd, rd = z.data, rhat.data
+
+        def bwd(g):
+            z._add_grad(graph.by_source.run(g, rd), fresh=True)
+            rhat._add_grad(graph.by_relation.run(g, zd), fresh=True)
+
+        return self._emit("relational_aggregate", plan.run(zd, rd), bwd)
 
 
 def grad_check(loss_fn, params, step: float = 1e-5, tolerance: float = 1e-4) -> GradCheckReport:

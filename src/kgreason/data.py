@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import RowIndex
+from .autodiff import ProductSumPlan, RowIndex
 
 
 class ParseError(Exception):
@@ -27,6 +28,13 @@ class VocabularyError(Exception):
 
 class GraphError(Exception):
     """Graph construction was handed out-of-range or inconsistent ids."""
+
+
+class DatasetError(Exception):
+    """A dataset was asked for in a mode that does not exist."""
+
+
+DATASET_MODES = ("auto", "transductive", "inductive")
 
 
 class Triplet(NamedTuple):
@@ -154,6 +162,27 @@ class KnowledgeGraph:
         for arr in (self.heads, self.relations, self.tails, self._csr_order, self.row_ptr):
             arr.flags.writeable = False
         self._edge_positions = None
+
+    # Product-sum plans over the facts, built on first use: message aggregation
+    # runs ``by_target``; its adjoints run ``by_source`` and ``by_relation``.
+
+    @cached_property
+    def by_target(self) -> ProductSumPlan:
+        """``out[t] += a[s] * b[r]`` over facts r(s, t)."""
+        return ProductSumPlan(self.in_tgt.idx, self.num_entities, self.in_src.idx, self.num_entities,
+                              self.in_rel.idx, self.num_relations)
+
+    @cached_property
+    def by_source(self) -> ProductSumPlan:
+        """``out[s] += a[t] * b[r]`` over facts r(s, t)."""
+        return ProductSumPlan(self.in_src.idx, self.num_entities, self.in_tgt.idx, self.num_entities,
+                              self.in_rel.idx, self.num_relations)
+
+    @cached_property
+    def by_relation(self) -> ProductSumPlan:
+        """``out[r] += a[t] * b[s]`` over facts r(s, t)."""
+        return ProductSumPlan(self.in_rel.idx, self.num_relations, self.in_tgt.idx, self.num_entities,
+                              self.in_src.idx, self.num_entities)
 
     @property
     def num_edges(self) -> int:
@@ -310,6 +339,9 @@ def load_dataset(path: str, mode: str = "auto", entity_vocab: Optional[Vocabular
     inference vocabulary is always built from ``inference.txt`` and
     ``test.txt``.
     """
+    if mode not in DATASET_MODES:
+        raise DatasetError(f"unknown dataset mode {mode!r}; expected one of {', '.join(DATASET_MODES)}")
+
     def fname(split):
         return os.path.join(path, f"{split}.txt")
 

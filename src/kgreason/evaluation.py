@@ -104,14 +104,23 @@ def evaluate(
     """Rank every query, in order, and aggregate metrics.
 
     Noise is pinned to ``noise_seed`` (unless the model runs with noise
-    disabled) so reported numbers are reproducible.
+    disabled) so reported numbers are reproducible. With noise pinned and no
+    edge excluded, a query's scores depend only on its (head, relation), so
+    each distinct pair is scored once and every gold of that pair is ranked
+    against the one vector; only one vector is held at a time.
     """
     eval_config = pin_noise(config, noise_seed)
-    ranks = []
-    for query in queries:
-        scores = score_query(graph, query, params, eval_config)
-        mask = None if raw else query_filter_mask(query, graph.num_entities)
-        ranks.append(rank_answer(scores, query.gold_tail, mask))
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, query in enumerate(queries):
+        groups.setdefault((query.head, query.relation), []).append(i)
+    ranks = [0.0] * len(queries)
+    for members in groups.values():
+        scores = score_query(graph, queries[members[0]], params, eval_config)
+        for i in members:
+            query = queries[i]
+            mask = None if raw else query_filter_mask(query, graph.num_entities)
+            ranks[i] = rank_answer(scores, query.gold_tail, mask)
+        del scores
     report = compute_metrics(ranks)
     if per_query:
         records = [

@@ -249,8 +249,8 @@ def rmpnn_forward(tape: Tape, graph: KnowledgeGraph, x: Tensor, rq: int,
 
     The query-side network's ``init_extra`` is per-entity Gaussian noise;
     the value-side network's is the head indicator. Messages flow along
-    stored facts r(v, u) from v into u; aggregation is gather source rows
-    -> per-relation transform -> segment-sum to targets.
+    stored facts r(v, u) from v into u; each round aggregates
+    ``sum z[v] * r_hat[r]`` into u with ``Tape.relational_aggregate``.
     ``exclude`` is an optional (sources, relations, targets) triple of edge
     copies whose contribution is subtracted out after aggregation (used to
     drop a training query's own edge without touching the full edge list).
@@ -258,12 +258,10 @@ def rmpnn_forward(tape: Tape, graph: KnowledgeGraph, x: Tensor, rq: int,
     n = graph.num_entities
     z = tape.add(tape.matmul(tape.concat_columns(x, tape.tensor(init_extra)), net.proj_w), net.proj_b)
     rhat = relation_transform(tape, relations, rq, net)
-    rhat_edges = tape.gather_rows(rhat, graph.in_rel)
     if exclude is not None:
         ex_src, ex_rel, ex_tgt = (RowIndex(ix) for ix in exclude)
     for rnd in net.rounds:
-        src = tape.gather_rows(z, graph.in_src)
-        agg = tape.scatter_add_rows(n, graph.in_tgt, tape.mul(src, rhat_edges))
+        agg = tape.relational_aggregate(z, rhat, graph)
         if exclude is not None:
             leak = tape.mul(tape.gather_rows(z, ex_src), tape.gather_rows(rhat, ex_rel))
             agg = tape.add(agg, tape.scale(tape.scatter_add_rows(n, ex_tgt, leak), -1.0))

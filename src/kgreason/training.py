@@ -12,7 +12,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -229,6 +229,9 @@ def _header_settings(path: str, header: dict, key: str, cls):
         value = fields.pop(name, fixed)
         if value != fixed:
             raise CheckpointError(f"{path}: retired setting {key}.{name} = {value!r}; only {fixed!r} loads")
+    unknown = sorted(set(fields) - {f.name for f in dataclass_fields(cls)})
+    if unknown:
+        raise CheckpointError(f"{path}: unknown setting {key}.{unknown[0]} = {fields[unknown[0]]!r}")
     return cls(**fields)
 
 

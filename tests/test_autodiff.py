@@ -1,8 +1,12 @@
 """Adjoint correctness and contract tests for the autodiff engine."""
 
+import os
+
 import numpy as np
 import pytest
 
+from conftest import chain_graph, random_graph
+from kgreason import data
 from kgreason.autodiff import (
     ContractError,
     DeterminismError,
@@ -12,6 +16,9 @@ from kgreason.autodiff import (
     Tape,
     grad_check,
 )
+from kgreason.data import Triplet, build_graph, load_dataset
+
+UMLS_DIR = os.path.join(os.path.dirname(__file__), "..", "data", "umls")
 
 
 def central_diff(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -272,3 +279,98 @@ class TestGradCheck:
 
         with pytest.raises(DeterminismError):
             grad_check(loss_fn, [w])
+
+
+# --- the fused message aggregation --------------------------------------------
+
+
+def umls_graph():
+    ds = load_dataset(UMLS_DIR)
+    return build_graph(ds.train, ds.num_entities, ds.num_relations)
+
+
+def isolated_and_duplicate_graph():
+    # entities 5 and 6 touch no fact; (0, r0, 1) is stored three times
+    trips = [Triplet(0, 0, 1), Triplet(0, 0, 1), Triplet(0, 0, 1), Triplet(2, 1, 1),
+             Triplet(1, 1, 3), Triplet(3, 0, 0), Triplet(4, 1, 4)]
+    return build_graph(trips, 7, 2)
+
+
+GRAPHS = {
+    "umls": umls_graph,
+    "scaling-chain": lambda: chain_graph(500),
+    "isolated-duplicates": isolated_and_duplicate_graph,
+    "no-edges": lambda: build_graph([], 4, 2),
+}
+
+
+def aggregate_composed(t, z, rhat, graph):
+    """The gather -> multiply -> scatter composition the fused primitive replaces."""
+    edges = t.mul(t.gather_rows(z, graph.in_src), t.gather_rows(rhat, graph.in_rel))
+    return t.scatter_add_rows(graph.num_entities, graph.in_tgt, edges)
+
+
+def aggregate_fused(t, z, rhat, graph):
+    return t.relational_aggregate(z, rhat, graph)
+
+
+class TestRelationalAggregate:
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_matches_composition(self, name):
+        graph = GRAPHS[name]()
+        rng = np.random.default_rng(7)
+        d = 5
+        z0 = rng.standard_normal((graph.num_entities, d))
+        rhat0 = rng.standard_normal((graph.num_relations, d))
+        upstream = rng.standard_normal((graph.num_entities, d))
+        results = []
+        for aggregate in (aggregate_composed, aggregate_fused):
+            z, rhat = Parameter("z", z0.copy()), Parameter("rhat", rhat0.copy())
+            t = Tape()
+            out = aggregate(t, z, rhat, graph)
+            t.backward(t.sum(t.mul(out, t.tensor(upstream))))
+            results.append((out.data, z.grad, rhat.grad))
+        for got, want in zip(results[1], results[0]):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_finite_differences(self, seed):
+        graph = isolated_and_duplicate_graph() if seed == 0 else random_graph(
+            np.random.default_rng(seed), 6, 2, 9)
+        weights = np.random.default_rng(50 + seed).standard_normal((graph.num_entities, 3))
+
+        def build(t, z, rhat):
+            return t.mul(t.relational_aggregate(z, rhat, graph), t.tensor(weights))
+
+        run_op_check(build, [(graph.num_entities, 3), (graph.num_relations, 3)], seed)
+
+    def test_plans_built_once_per_graph(self, monkeypatch):
+        built = []
+
+        class CountingPlan(data.ProductSumPlan):
+            __slots__ = ()
+
+            def __init__(self, keys, *args):
+                built.append(keys)
+                super().__init__(keys, *args)
+
+        monkeypatch.setattr(data, "ProductSumPlan", CountingPlan)
+        graph = random_graph(np.random.default_rng(3), 8, 2, 12)
+        z = Parameter("z", np.ones((8, 4)))
+        rhat = Parameter("rhat", np.ones((4, 4)))
+        Tape(grad=False).relational_aggregate(z, rhat, graph)
+        assert len(built) == 1  # inference builds only the forward plan
+        for _ in range(3):
+            t = Tape()
+            t.backward(t.sum(t.relational_aggregate(z, rhat, graph)))
+        assert len(built) == 3
+        assert [id(k) for k in built] == [id(graph.in_tgt.idx), id(graph.in_src.idx),
+                                          id(graph.in_rel.idx)]
+
+    def test_shape_mismatch_rejected(self):
+        graph = chain_graph(4)
+        t = Tape()
+        with pytest.raises(ShapeError):
+            t.relational_aggregate(t.tensor(np.ones((4, 3))), t.tensor(np.ones((3, 3))), graph)
+        with pytest.raises(ShapeError):
+            t.relational_aggregate(t.tensor(np.ones((4, 3))), t.tensor(np.ones((2, 2))), graph)

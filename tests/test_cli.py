@@ -142,6 +142,12 @@ class TestTrainCommand:
         assert rc == 2
         assert "/nope/nothing" in capsys.readouterr().err
 
+    def test_unknown_dataset_mode_exits_2(self, toy_config, capsys):
+        rc = main(["train", "--config", str(toy_config), "--set", "dataset.mode=bogus"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == "error: unknown dataset mode 'bogus'; expected one of auto, transductive, inductive"
+
     def test_out_of_grid_warns_but_runs(self, toy_config, capsys):
         rc = main(["train", "--config", str(toy_config), "--set", "model.hidden_dim=8",
                    "--set", "training.epochs=1"])
@@ -242,6 +248,14 @@ class TestEvalPredictCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "model_config.heads = 2" in err
+
+    def test_unknown_header_key_exits_2(self, trained, toy_data, capsys):
+        set_header(trained, "model_config", "dropout", 0.1)
+        rc = main(["predict", "--checkpoint", str(trained), "--data", str(toy_data),
+                   "--head", "a", "--relation", "r0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "model_config.dropout" in err
 
     @pytest.mark.parametrize("keep", [lambda blob: blob[:len(blob) // 2], lambda blob: blob[:-8]],
                              ids=["half", "last-8-bytes-cut"])

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from conftest import make_model, random_graph
+from kgreason import evaluation
 from kgreason.data import Query, build_graph, load_dataset, make_queries, query_filters
 from kgreason.evaluation import (
     MetricsError,
     RankingError,
     compute_metrics,
     evaluate,
+    query_filter_mask,
     rank_answer,
 )
+from kgreason.model import pin_noise, score_query
 
 UMLS_DIR = os.path.join(os.path.dirname(__file__), "..", "data", "umls")
 
@@ -142,6 +145,33 @@ class TestEvaluate:
         assert r1 == r2
         report, records = evaluate(g, queries, params, cfg, noise_seed=7, per_query=True)
         assert len(records) == 2 and records[0]["head"] == 0 and "rank" in records[0]
+
+    @pytest.mark.parametrize("raw", [False, True])
+    @pytest.mark.parametrize("noise_mode", ["per_forward", "disabled"])
+    def test_scores_each_pair_once(self, rng, monkeypatch, raw, noise_mode):
+        cfg, params = make_model(num_relations=4, seed=32, noise_mode=noise_mode)
+        g = random_graph(rng, 9, 2, 16)
+        pairs = [(0, 1), (3, 0), (0, 1), (5, 2), (3, 0), (0, 1), (8, 3)]
+        queries = [Query(h, r, (h + 1 + i) % 9, frozenset({(h + 1 + i) % 9, (h + 2) % 9}))
+                   for i, (h, r) in enumerate(pairs)]
+        pinned = pin_noise(cfg, 7)
+        reference = []
+        for q in queries:  # the per-query loop: one forward per query
+            scores = score_query(g, q, params, pinned)
+            mask = None if raw else query_filter_mask(q, g.num_entities)
+            reference.append({"head": q.head, "relation": q.relation, "gold": q.gold_tail,
+                              "rank": rank_answer(scores, q.gold_tail, mask)})
+        calls = []
+
+        def counting(graph, query, *args, **kwargs):
+            calls.append((query.head, query.relation))
+            return score_query(graph, query, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "score_query", counting)
+        report, records = evaluate(g, queries, params, cfg, noise_seed=7, raw=raw, per_query=True)
+        assert calls == [(0, 1), (3, 0), (5, 2), (8, 3)]
+        assert records == reference
+        assert report == compute_metrics([r["rank"] for r in reference])
 
 
 requires_umls = pytest.mark.skipif(
