@@ -206,6 +206,19 @@ class ProductSumPlan:
         return out
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, with an outer product (contracted dimension 1) run as a broadcast multiply.
+
+    Each entry of an outer product is one rounded product either way, so the
+    bits match; BLAS takes many times longer for it.
+    """
+    return a * b if a.shape[1] == 1 else a @ b
+
+
+def _as_rows(rows) -> RowIndex:
+    return rows if isinstance(rows, RowIndex) else RowIndex(rows)
+
+
 def _scatter_add(num_rows: int, rows: RowIndex, values: np.ndarray) -> np.ndarray:
     out = np.zeros((num_rows, values.shape[1]), dtype=values.dtype)
     if len(rows) == 0:
@@ -289,10 +302,57 @@ class Tape:
         ad, bd = a.data, b.data
 
         def bwd(g):
-            a._add_grad(g @ bd.T, fresh=True)
-            b._add_grad(ad.T @ g, fresh=True)
+            a._add_grad(_product(g, bd.T), fresh=True)
+            b._add_grad(_product(ad.T, g), fresh=True)
 
         return self._emit("matmul", ad @ bd, bwd)
+
+    def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+        """``x @ w + b`` with a row bias ``b``: the matmul -> add chain as one node."""
+        if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+            raise ShapeError("linear", x.shape, w.shape, b.shape)
+        xd, wd = x.data, w.data
+
+        def bwd(g):
+            b._add_grad(g.sum(axis=0, keepdims=True), fresh=True)
+            x._add_grad(_product(g, wd.T), fresh=True)
+            w._add_grad(_product(xd.T, g), fresh=True)
+
+        out = xd @ wd
+        out += b.data
+        return self._emit("linear", out, bwd)
+
+    def mlp(self, x: Tensor, weights: list, biases: list) -> Tensor:
+        """Linear layers with ReLU between them (the last stays linear), as one node.
+
+        The value and every gradient are bit for bit those of the
+        ``linear``/``relu`` chain it replaces.
+        """
+        if not weights or len(weights) != len(biases):
+            raise ShapeError("mlp", f"{len(weights)} weights", f"{len(biases)} biases")
+        wds = [w.data for w in weights]
+        bds = [b.data for b in biases]
+        inputs = [x.data]          # each layer's input: x, then the ReLU outputs
+        h = x.data
+        for i, (wd, bd) in enumerate(zip(wds, bds)):
+            if h.shape[1] != wd.shape[0] or bd.shape != (1, wd.shape[1]):
+                raise ShapeError("mlp", h.shape, wd.shape, bd.shape)
+            h = h @ wd
+            h += bd
+            if i < len(wds) - 1:
+                h = np.maximum(h, 0.0, out=h)
+                inputs.append(h)
+
+        def bwd(g):
+            for i in reversed(range(len(wds))):
+                biases[i]._add_grad(g.sum(axis=0, keepdims=True), fresh=True)
+                weights[i]._add_grad(_product(inputs[i].T, g), fresh=True)
+                g = _product(g, wds[i].T)
+                if i:
+                    g = g * (inputs[i] > 0)
+            x._add_grad(g, fresh=True)
+
+        return self._emit("mlp", h, bwd)
 
     @staticmethod
     def _broadcast_kind(op, sa, sb):
@@ -448,10 +508,9 @@ class Tape:
         d = a.shape[1]
         if gain.shape != (1, d) or bias.shape != (1, d):
             raise ShapeError("layer_norm", a.shape, gain.shape, bias.shape)
-        mu = a.data.mean(axis=1, keepdims=True)
-        var = a.data.var(axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (a.data - mu) * inv
+        centred = a.data - a.data.mean(axis=1, keepdims=True)
+        inv = 1.0 / np.sqrt((centred * centred).mean(axis=1, keepdims=True) + eps)  # np.var's bits
+        xhat = centred * inv
         gd = gain.data
 
         def bwd(g):
@@ -477,8 +536,7 @@ class Tape:
         return self._emit("row_l2_normalize", out_data, bwd)
 
     def gather_rows(self, a: Tensor, rows: RowIndex) -> Tensor:
-        if not isinstance(rows, RowIndex):
-            rows = RowIndex(rows)
+        rows = _as_rows(rows)
         if len(rows) and (rows.idx.min() < 0 or rows.idx.max() >= a.shape[0]):
             raise ShapeError("gather_rows", a.shape, f"index max {rows.idx.max()}")
         num_rows = a.shape[0]
@@ -489,8 +547,7 @@ class Tape:
         return self._emit("gather_rows", a.data.take(rows.idx, axis=0), bwd)
 
     def scatter_add_rows(self, num_rows: int, rows: RowIndex, a: Tensor) -> Tensor:
-        if not isinstance(rows, RowIndex):
-            rows = RowIndex(rows)
+        rows = _as_rows(rows)
         if len(rows) != a.shape[0]:
             raise ShapeError("scatter_add_rows", a.shape, f"{len(rows)} indices")
         if len(rows) and (rows.idx.min() < 0 or rows.idx.max() >= num_rows):
@@ -502,23 +559,38 @@ class Tape:
 
         return self._emit("scatter_add_rows", _scatter_add(num_rows, rows, a.data), bwd)
 
-    def relational_aggregate(self, z: Tensor, rhat: Tensor, graph) -> Tensor:
+    def relational_aggregate(self, z: Tensor, rhat: Tensor, graph, exclude=None) -> Tensor:
         """Message aggregation ``agg[t] = sum over facts r(s, t) of z[s] * rhat[r]``.
 
         ``graph`` holds three ProductSumPlans over its facts: ``by_target``
         computes the value, ``by_source`` and ``by_relation`` the adjoints for
         ``z`` and ``rhat``. No (|E|, d) tensor is recorded.
+
+        ``exclude`` is an optional (sources, relations, targets) triple of fact
+        copies to leave out (a training query's own edge): their messages are
+        summed per target and subtracted from the full aggregate.
         """
         plan = graph.by_target
         if z.shape[0] != plan.num_a or rhat.shape[0] != plan.num_b or z.shape[1] != rhat.shape[1]:
             raise ShapeError("relational_aggregate", z.shape, rhat.shape)
         zd, rd = z.data, rhat.data
+        out = plan.run(zd, rd)
+        if exclude is not None:
+            src, rel, tgt = map(_as_rows, exclude)
+            if not len(src) == len(rel) == len(tgt):
+                raise ShapeError("relational_aggregate exclude", len(src), len(rel), len(tgt))
+            z_ex, r_ex = zd.take(src.idx, axis=0), rd.take(rel.idx, axis=0)
+            out -= _scatter_add(plan.num_keys, tgt, z_ex * r_ex)
 
         def bwd(g):
+            if exclude is not None:
+                g_ex = -g.take(tgt.idx, axis=0)
+                z._add_grad(_scatter_add(plan.num_a, src, g_ex * r_ex), fresh=True)
+                rhat._add_grad(_scatter_add(plan.num_b, rel, g_ex * z_ex), fresh=True)
             z._add_grad(graph.by_source.run(g, rd), fresh=True)
             rhat._add_grad(graph.by_relation.run(g, zd), fresh=True)
 
-        return self._emit("relational_aggregate", plan.run(zd, rd), bwd)
+        return self._emit("relational_aggregate", out, bwd)
 
 
 def grad_check(loss_fn, params, step: float = 1e-5, tolerance: float = 1e-4) -> GradCheckReport:

@@ -249,6 +249,8 @@ def _inference_query(args):
 
 
 def cmd_predict(args) -> int:
+    if args.k < 1:
+        raise UserError(f"-k must be at least 1, got {args.k}")
     ck, graph, entity_vocab, query = _inference_query(args)
     k = args.k
     if k > graph.num_entities:
@@ -342,6 +344,8 @@ def cmd_diagnose(args) -> int:
         return 0
 
     if args.subcommand == "attention":
+        if args.top < 1:
+            raise UserError(f"--top must be at least 1, got {args.top}")
         ck, graph, entity_vocab, query = _inference_query(args)
         config = pin_noise(ck.model_config, args.noise_seed)
         state = ForwardState()

@@ -72,12 +72,7 @@ class Mlp:
     biases: list
 
     def apply(self, tape: Tape, x: Tensor) -> Tensor:
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = tape.add(tape.matmul(x, w), b)
-            if i < last:
-                x = tape.relu(x)
-        return x
+        return tape.mlp(x, self.weights, self.biases)
 
     def parameters(self):
         for w, b in zip(self.weights, self.biases):
@@ -252,19 +247,13 @@ def rmpnn_forward(tape: Tape, graph: KnowledgeGraph, x: Tensor, rq: int,
     stored facts r(v, u) from v into u; each round aggregates
     ``sum z[v] * r_hat[r]`` into u with ``Tape.relational_aggregate``.
     ``exclude`` is an optional (sources, relations, targets) triple of edge
-    copies whose contribution is subtracted out after aggregation (used to
-    drop a training query's own edge without touching the full edge list).
+    copies that every round leaves out of its aggregate (used to drop a
+    training query's own edge without touching the full edge list).
     """
-    n = graph.num_entities
-    z = tape.add(tape.matmul(tape.concat_columns(x, tape.tensor(init_extra)), net.proj_w), net.proj_b)
+    z = tape.linear(tape.concat_columns(x, tape.tensor(init_extra)), net.proj_w, net.proj_b)
     rhat = relation_transform(tape, relations, rq, net)
-    if exclude is not None:
-        ex_src, ex_rel, ex_tgt = (RowIndex(ix) for ix in exclude)
     for rnd in net.rounds:
-        agg = tape.relational_aggregate(z, rhat, graph)
-        if exclude is not None:
-            leak = tape.mul(tape.gather_rows(z, ex_src), tape.gather_rows(rhat, ex_rel))
-            agg = tape.add(agg, tape.scale(tape.scatter_add_rows(n, ex_tgt, leak), -1.0))
+        agg = tape.relational_aggregate(z, rhat, graph, exclude)
         z = rnd.update.apply(tape, tape.add(tape.mul(z, rnd.retain), agg))
     return z
 
@@ -273,8 +262,8 @@ def rmpnn_forward(tape: Tape, graph: KnowledgeGraph, x: Tensor, rq: int,
 
 
 def _projected_qk(tape: Tape, ztilde: Tensor, head: AttentionHeadParams):
-    q = tape.row_l2_normalize(tape.add(tape.matmul(ztilde, head.w1), head.b1), NORM_EPS)
-    k = tape.row_l2_normalize(tape.add(tape.matmul(ztilde, head.w2), head.b2), NORM_EPS)
+    q = tape.row_l2_normalize(tape.linear(ztilde, head.w1, head.b1), NORM_EPS)
+    k = tape.row_l2_normalize(tape.linear(ztilde, head.w2, head.b2), NORM_EPS)
     return q, k
 
 
@@ -420,6 +409,8 @@ def forward(tape: Tape, graph: KnowledgeGraph, query: Query, params: ModelParams
     exclude = None
     if exclude_query_edge:
         exclude = graph.excluded_edge_endpoints(query.head, query.relation, query.gold_tail)
+        if exclude is not None:  # index once per query; every round reuses the scatter plans
+            exclude = tuple(map(RowIndex, exclude))
     indicator = head_indicator(config, n, query.head)
     x = tape.tensor(np.zeros((n, config.hidden_dim), dtype=config.dtype))
     if state is not None:

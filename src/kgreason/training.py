@@ -21,8 +21,8 @@ from .autodiff import Parameter, RowIndex, Tape, Tensor
 from .data import DatasetSplit, KnowledgeGraph, Vocabulary, build_graph, make_queries, query_filters
 from .evaluation import evaluate
 from .model import (
-    DENSE_GUARD, FFN_DEPTH, FFN_MULTIPLIER, LAYER_NORM_EPS, MLP_DEPTH, NORM_EPS, ModelConfig,
-    ModelParams, forward, make_noise,
+    DENSE_GUARD, FFN_DEPTH, FFN_MULTIPLIER, LAYER_NORM_EPS, MLP_DEPTH, NORM_EPS, ConfigError,
+    ModelConfig, ModelParams, forward, make_noise,
 )
 
 SCORE_CLAMP = 1e-7
@@ -176,7 +176,8 @@ def save_checkpoint(path: str, params: ModelParams, adam: AdamState,
 
     Tensors are serialized little-endian in parameter order; the header is
     canonical JSON (sorted keys), so save -> load -> save round-trips to
-    identical bytes.
+    identical bytes. The file is written beside ``path`` and renamed over
+    it, so a save that fails partway leaves the previous file intact.
     """
     tensors = []
     blobs = []
@@ -214,12 +215,19 @@ def save_checkpoint(path: str, params: ModelParams, adam: AdamState,
         "tensors": tensors,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(len(head).to_bytes(8, "little"))
-        fh.write(head)
-        for raw in blobs:
-            fh.write(raw)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(len(head).to_bytes(8, "little"))
+            fh.write(head)
+            for raw in blobs:
+                fh.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _header_settings(path: str, header: dict, key: str, cls):
@@ -377,6 +385,9 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
     """
     num_rel_aug = 2 * dataset.num_relations
     graph, _ = split_graph(dataset, "train")
+    if train_config.num_negatives >= graph.num_entities:
+        raise ConfigError(f"training.num_negatives = {train_config.num_negatives} needs more entities: "
+                          f"the training graph has {graph.num_entities}, and negatives exclude the gold")
     train_queries, valid_queries = split_queries(dataset, "train", "valid")
     if train_config.max_valid_queries is not None:
         valid_queries = valid_queries[:train_config.max_valid_queries]
@@ -422,10 +433,13 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
             {"epoch": epoch, "best": best, "evals_since_best": evals_since_best},
         )
 
-    def record(epoch, split, loss=None, report=None, wall_ms=None):
+    def record(epoch, split, loss=None, report=None, wall_ms=None, timing=None):
         rec = {"epoch": epoch, "split": split, "loss": loss,
                "mrr": None, "hits1": None, "hits3": None, "hits10": None,
-               "wall_ms": wall_ms if train_config.log_timing else None}
+               "wall_ms": wall_ms if train_config.log_timing else None,
+               "queries_per_s": None, "fwd_ms": None, "bwd_ms": None, "opt_ms": None}
+        if timing is not None and train_config.log_timing:
+            rec.update(timing)
         if report is not None:
             rec.update(report.as_dict())
             rec.pop("count", None)
@@ -438,6 +452,7 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(len(train_queries))
         epoch_loss = 0.0
+        fwd_s = bwd_s = opt_s = 0.0
         for batch_no, lo in enumerate(range(0, len(order), train_config.batch_size)):
             batch = order[lo:lo + train_config.batch_size]
             params.zero_grad()
@@ -448,12 +463,18 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
                                         train_config.num_negatives)
                 noise = make_noise(model_config, graph.num_entities,
                                    noise_rng if model_config.noise_mode == "per_forward" else None)
+                t_fwd = time.perf_counter()
                 tape = Tape()
                 scores = forward(tape, graph, q, params, model_config, noise,
                                  exclude_query_edge=True)
                 loss = negative_sampling_loss(tape, scores, q.gold_tail, negs)
+                t_bwd = time.perf_counter()
                 tape.backward(tape.scale(loss, 1.0 / len(batch)))
                 batch_loss += loss.item()
+                t_end = time.perf_counter()
+                fwd_s += t_bwd - t_fwd
+                bwd_s += t_end - t_bwd
+            t_opt = time.perf_counter()
             if not np.isfinite(batch_loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}; "
@@ -463,10 +484,13 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
                     raise TrainingDiverged(f"non-finite gradient in {p.name} at epoch {epoch}, "
                                            f"batch {batch_no}")
             adam_step(params.parameters(), adam, train_config)
+            opt_s += time.perf_counter() - t_opt
             epoch_loss += batch_loss
         mean_loss = epoch_loss / len(order)
-        wall = (time.perf_counter() - t0) * 1000.0
-        record(epoch, "train", loss=mean_loss, wall_ms=round(wall, 3))
+        wall = time.perf_counter() - t0
+        record(epoch, "train", loss=mean_loss, wall_ms=round(wall * 1000.0, 3),
+               timing={"queries_per_s": round(len(order) / wall, 3), "fwd_ms": round(fwd_s * 1000.0, 3),
+                       "bwd_ms": round(bwd_s * 1000.0, 3), "opt_ms": round(opt_s * 1000.0, 3)})
 
         if epoch % train_config.eval_interval == 0 and valid_queries:
             t1 = time.perf_counter()

@@ -68,6 +68,25 @@ class TestPrimitiveAdjoints:
     def test_matmul(self, seed):
         run_op_check(lambda t, a, b: t.matmul(a, b), [(3, 4), (4, 5)], seed)
 
+    @pytest.mark.parametrize("shapes", [[(3, 4), (4, 5), (1, 5)], [(1, 4), (4, 6), (1, 6)],
+                                        [(5, 3), (3, 1), (1, 1)]])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linear(self, shapes, seed):
+        run_op_check(lambda t, x, w, b: t.linear(x, w, b), shapes, seed)
+
+    @pytest.mark.parametrize("dims", [[4, 5, 3, 1], [3, 6, 3], [4, 2]])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mlp(self, dims, seed):
+        # biases drawn by run_op_check put the ReLU inputs at generic points, off the kink
+        shapes = [(5, dims[0])]
+        for i in range(len(dims) - 1):
+            shapes += [(dims[i], dims[i + 1]), (1, dims[i + 1])]
+
+        def build(t, x, *layers):
+            return t.mlp(x, list(layers[0::2]), list(layers[1::2]))
+
+        run_op_check(build, shapes, seed)
+
     @pytest.mark.parametrize("bshape", [(3, 4), (1, 4), (3, 1), (1, 1)])
     @pytest.mark.parametrize("seed", range(3))
     def test_add_broadcast(self, bshape, seed):
@@ -374,3 +393,179 @@ class TestRelationalAggregate:
             t.relational_aggregate(t.tensor(np.ones((4, 3))), t.tensor(np.ones((3, 3))), graph)
         with pytest.raises(ShapeError):
             t.relational_aggregate(t.tensor(np.ones((4, 3))), t.tensor(np.ones((2, 2))), graph)
+
+
+# --- fused nodes against the chains they replace --------------------------------
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def run_both(build_chain, build_fused, shapes, dtype, seed):
+    """Value and every parameter gradient of ``sum(out * upstream)`` under both builds."""
+    rng = np.random.default_rng(seed)
+    inits = [rng.standard_normal(s).astype(dtype) for s in shapes]
+    results = []
+    for build in (build_chain, build_fused):
+        params = [Parameter(f"p{i}", x.copy()) for i, x in enumerate(inits)]
+        t = Tape()
+        out = build(t, *params)
+        upstream = np.random.default_rng(seed + 1).standard_normal(out.shape).astype(dtype)
+        t.backward(t.sum(t.mul(out, t.tensor(upstream))))
+        results.append([out.data] + [p.grad for p in params])
+    return results
+
+
+def assert_bit_equal(results):
+    chain, fused = results
+    for i, (want, got) in enumerate(zip(chain, fused)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert bits(got) == bits(want), f"{'value' if i == 0 else f'gradient of p{i - 1}'} differs"
+
+
+def mlp_chain(t, x, weights, biases):
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        x = t.add(t.matmul(x, w), b)
+        if i < len(weights) - 1:
+            x = t.relu(x)
+    return x
+
+
+DTYPES = [np.float32, np.float64]
+
+
+class TestFusedNodesBitEqual:
+    """Each fused node gives the exact bits of the chain of primitives it replaces."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linear(self, dtype, seed):
+        # x passes through a relu first, so its gradient is accumulated, not donated
+        assert_bit_equal(run_both(
+            lambda t, x, w, b: t.add(t.matmul(t.relu(x), w), b),
+            lambda t, x, w, b: t.linear(t.relu(x), w, b),
+            [(97, 32), (32, 32), (1, 32)], dtype, seed))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("dims", [[32, 32, 32, 32], [32, 128, 32], [32, 32, 1]])
+    def test_mlp(self, dtype, dims):
+        shapes = [(97, dims[0])]
+        for i in range(len(dims) - 1):
+            shapes += [(dims[i], dims[i + 1]), (1, dims[i + 1])]
+
+        def build(stack):
+            def run(t, x, *layers):
+                # x also feeds a second consumer, as a residual stream does
+                h = stack(t, x, list(layers[0::2]), list(layers[1::2]))
+                return t.add(h, t.scale(t.sum(x), 0.5))
+            return run
+
+        assert_bit_equal(run_both(build(mlp_chain), build(Tape.mlp), shapes, dtype, 4))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("d", [5, 32, 96])
+    def test_layer_norm_variance_is_np_var(self, dtype, d):
+        rng = np.random.default_rng(d)
+        a = (rng.standard_normal((97, d)) * rng.uniform(0.01, 100.0, (97, 1))).astype(dtype)
+        gain, bias = rng.standard_normal((2, 1, d)).astype(dtype)
+        t = Tape()
+        out = t.layer_norm(t.tensor(a), t.tensor(gain), t.tensor(bias), eps=1e-5)
+        inv = 1.0 / np.sqrt(a.var(axis=1, keepdims=True) + 1e-5)
+        assert bits(out.data) == bits((a - a.mean(axis=1, keepdims=True)) * inv * gain + bias)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("case", ["row-times-wide", "column-out"])
+    def test_matmul_outer_product_adjoint(self, dtype, case):
+        # a contracted dimension of 1 runs as a broadcast product; @ is the reference
+        rng = np.random.default_rng(3)
+        ashape, bshape = {"row-times-wide": ((1, 32), (32, 2944)),
+                          "column-out": ((97, 32), (32, 1))}[case]
+        a = Parameter("a", rng.standard_normal(ashape).astype(dtype))
+        b = Parameter("b", rng.standard_normal(bshape).astype(dtype))
+        g = rng.standard_normal((ashape[0], bshape[1])).astype(dtype)
+        t = Tape()
+        out = t.matmul(a, b)
+        t.backward(t.sum(t.mul(out, t.tensor(g))))
+        assert bits(a.grad) == bits(g @ b.data.T)
+        assert bits(b.grad) == bits(a.data.T @ g)
+
+
+def excluded_graph():
+    """Facts with (0, r0, 1) stored twice and a self-loop (2, r1, 2); both are excluded."""
+    trips = [Triplet(0, 0, 1), Triplet(0, 0, 1), Triplet(1, 1, 3), Triplet(2, 1, 2),
+             Triplet(3, 0, 0), Triplet(2, 0, 1), Triplet(4, 1, 4), Triplet(1, 0, 2)]
+    graph = build_graph(trips, 6, 2)
+    ends = [graph.excluded_edge_endpoints(0, 0, 1), graph.excluded_edge_endpoints(2, 1, 2)]
+    exclude = tuple(np.concatenate(cols) for cols in zip(*ends))
+    assert len(exclude[0]) == 6  # two copies and their inverses; the loop and its inverse
+    return graph, exclude
+
+
+def excluded_chain(t, z, rhat, graph, exclude):
+    """The gather -> gather -> mul -> scatter -> scale -> add chain that excluded an edge."""
+    src, rel, tgt = (RowIndex(ix) for ix in exclude)
+    agg = t.relational_aggregate(z, rhat, graph)
+    leak = t.mul(t.gather_rows(z, src), t.gather_rows(rhat, rel))
+    return t.add(agg, t.scale(t.scatter_add_rows(graph.num_entities, tgt, leak), -1.0))
+
+
+def excluded_rounds(aggregate, graph, exclude):
+    """Two message rounds over one rhat, the state z also gated by a retain row (as in the model)."""
+    def run(t, x, w, b, retain, rhat):
+        z = t.linear(x, w, b)
+        for _ in range(2):
+            z = t.add(t.mul(z, retain), aggregate(t, z, rhat, graph, exclude))
+        return z
+    return run
+
+
+class TestExcludedAggregate:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_equal_to_chain(self, dtype, seed):
+        graph, exclude = excluded_graph()
+        d = 5
+        shapes = [(graph.num_entities, d), (d, d), (1, d), (1, d), (graph.num_relations, d)]
+        assert_bit_equal(run_both(excluded_rounds(excluded_chain, graph, exclude),
+                                  excluded_rounds(Tape.relational_aggregate, graph, exclude),
+                                  shapes, dtype, seed))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_bit_equal_on_umls_queries(self, dtype):
+        graph = umls_graph()
+        rng = np.random.default_rng(11)
+        edges = graph.edges
+        for e in rng.choice(len(edges), 4, replace=False):
+            h, r, tail = edges[e]
+            exclude = graph.excluded_edge_endpoints(h, r, tail)
+            shapes = [(graph.num_entities, 8), (8, 8), (1, 8), (1, 8), (graph.num_relations, 8)]
+            assert_bit_equal(run_both(excluded_rounds(excluded_chain, graph, exclude),
+                                      excluded_rounds(Tape.relational_aggregate, graph, exclude),
+                                      shapes, dtype, int(e)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_finite_differences(self, seed):
+        graph, exclude = excluded_graph()
+        weights = np.random.default_rng(60 + seed).standard_normal((graph.num_entities, 3))
+
+        def build(t, z, rhat):
+            return t.mul(t.relational_aggregate(z, rhat, graph, exclude), t.tensor(weights))
+
+        run_op_check(build, [(graph.num_entities, 3), (graph.num_relations, 3)], seed)
+
+    def test_excluding_every_fact_leaves_zero(self):
+        graph, _ = excluded_graph()
+        everything = (graph.in_src.idx, graph.in_rel.idx, graph.in_tgt.idx)
+        rng = np.random.default_rng(0)
+        t = Tape()
+        out = t.relational_aggregate(t.tensor(rng.standard_normal((6, 4))),
+                                     t.tensor(rng.standard_normal((4, 4))), graph, everything)
+        np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
+
+    def test_exclude_lengths_must_match(self):
+        graph, (src, rel, tgt) = excluded_graph()
+        t = Tape()
+        with pytest.raises(ShapeError):
+            t.relational_aggregate(t.tensor(np.ones((6, 3))), t.tensor(np.ones((4, 3))), graph,
+                                   (src, rel[:-1], tgt))

@@ -148,6 +148,17 @@ class TestTrainCommand:
         err = capsys.readouterr().err.splitlines()[-1]
         assert err == "error: unknown dataset mode 'bogus'; expected one of auto, transductive, inductive"
 
+    def test_too_many_negatives_exits_2(self, tmp_path, capsys):
+        data_dir = write_dataset(tmp_path / "tiny", {"train": [("a", "r0", "b"), ("b", "r0", "c")],
+                                                     "valid": [("c", "r0", "a")],
+                                                     "test": [("a", "r0", "c")]})
+        cfg = write_config(tmp_path, data_dir)
+        assert main(["train", "--config", str(cfg), "--set", "training.num_negatives=3"]) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error: training.num_negatives = 3") and "has 3" in err
+        assert not (tmp_path / "run" / "metrics.jsonl").exists()
+        assert main(["train", "--config", str(cfg)]) == 0  # 2 negatives fit beside the gold
+
     def test_out_of_grid_warns_but_runs(self, toy_config, capsys):
         rc = main(["train", "--config", str(toy_config), "--set", "model.hidden_dim=8",
                    "--set", "training.epochs=1"])
@@ -222,6 +233,17 @@ class TestEvalPredictCommands:
         captured = capsys.readouterr()
         assert "clipped" in captured.err
         assert len(captured.out.strip().splitlines()) == 5
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command", [("predict", "-k"), ("diagnose", "attention", "--top")],
+                             ids=["predict-k", "attention-top"])
+    def test_count_below_1_exits_2(self, trained, toy_data, command, value, capsys):
+        rc = main([*command[:-1], "--checkpoint", str(trained), "--data", str(toy_data),
+                   "--head", "a", "--relation", "r0", command[-1], value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {command[-1]} must be at least 1, got {value}\n"
 
     def test_inverse_relation_token(self, trained, toy_data, capsys):
         rc = main(["predict", "--checkpoint", str(trained), "--data", str(toy_data),

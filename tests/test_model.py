@@ -22,6 +22,7 @@ from kgreason.model import (
     transformer_layer,
     ForwardState,
 )
+from kgreason.training import negative_sampling_loss
 
 
 # --- independent oracles -----------------------------------------------------
@@ -372,6 +373,20 @@ class TestForward:
         s1 = score_query(g, q, params, cfg)
         s2 = score_query(g, q, params, cfg)
         assert s1.tobytes() == s2.tobytes()
+
+    def test_training_query_tape_size(self, rng):
+        # two layers, two rounds per network, the query's own edge excluded: ~120 nodes
+        cfg, params = make_model(num_relations=4, seed=26, attention_layers=2, query_layers=2,
+                                 value_layers=2, noise_mode="per_forward")
+        g = random_graph(rng, 12, 2, 20)
+        h, r, t_ = g.edges[0]
+        tape = Tape()
+        scores = forward(tape, g, Query(h, r, t_, frozenset({t_})), params, cfg,
+                         noise=rng.standard_normal((12, cfg.hidden_dim)), exclude_query_edge=True)
+        loss = negative_sampling_loss(tape, scores, t_, np.array([i for i in range(5) if i != t_]))
+        tape.backward(tape.scale(loss, 0.25))
+        assert len(tape) <= 130
+        assert all(np.isfinite(p.grad).all() for p in params.parameters())
 
     def test_state_collection_shapes(self, rng):
         cfg, params = make_model(num_relations=4, seed=25, attention_layers=2)

@@ -41,6 +41,9 @@ def toy_dataset(seed=0) -> DatasetSplit:
     return DatasetSplit("toy", "transductive", train, valid, test, ev, rv)
 
 
+TIMING_KEYS = ("queries_per_s", "fwd_ms", "bwd_ms", "opt_ms")
+
+
 def toy_train_config(**overrides) -> TrainConfig:
     base = dict(learning_rate=5e-3, num_negatives=3, epochs=3, batch_size=4, seed=7,
                 eval_interval=10**6, log_timing=False)
@@ -191,9 +194,23 @@ class TestTrainLoop:
         assert len(lines) == 4  # train + valid per epoch
         for line in lines:
             rec = json.loads(line)
-            assert set(rec) == {"epoch", "split", "loss", "mrr", "hits1", "hits3", "hits10", "wall_ms"}
+            assert set(rec) == {"epoch", "split", "loss", "mrr", "hits1", "hits3", "hits10", "wall_ms",
+                                *TIMING_KEYS}
+            assert all(rec[key] is None for key in ("wall_ms", *TIMING_KEYS))  # log_timing=false
         valid_recs = [json.loads(l) for l in lines if json.loads(l)["split"] == "valid"]
         assert valid_recs and all(r["mrr"] is not None for r in valid_recs)
+
+    def test_training_step_time_split(self):
+        result = train(toy_dataset(), make_config(noise_mode="per_forward"),
+                       toy_train_config(epochs=2, eval_interval=1, log_timing=True),
+                       log=lambda *a, **k: None)
+        for rec in result.history:
+            if rec["split"] == "valid":
+                assert all(rec[key] is None for key in TIMING_KEYS)
+                continue
+            assert all(rec[key] > 0 for key in TIMING_KEYS)
+            assert rec["fwd_ms"] + rec["bwd_ms"] + rec["opt_ms"] <= rec["wall_ms"]
+            assert rec["queries_per_s"] == pytest.approx(24 / (rec["wall_ms"] / 1000), rel=1e-3)
 
     def test_resume_reproduces_straight_run(self, tmp_path):
         ds = toy_dataset()
@@ -405,6 +422,46 @@ class TestCheckpointContainer:
         set_header(path, "tensors", 0, {**first, "shape": [first["shape"][0] + 1, first["shape"][1]]})
         with pytest.raises(CheckpointError, match="its shape needs"):
             load_checkpoint(str(path))
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        mcfg = ModelConfig(hidden_dim=8, attention_layers=1, query_layers=1, value_layers=1)
+        params = ModelParams(mcfg, 4, np.random.default_rng(8))
+        adam = AdamState(params.parameters())
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(str(path), params, adam, mcfg, TrainConfig(), ["e"], ["r"], {}, {})
+        before = path.read_bytes()
+        saved = {p.name: p.data.copy() for p in params.parameters()}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
+
+        class CrashingFile:
+            """Writes through to the real file, then fails once the header is out."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, blob):
+                self.writes += 1
+                if self.writes == 5:
+                    raise OSError("disk full")
+                return self.fh.write(blob)
+
+        monkeypatch.setattr("builtins.open", lambda *a, _open=open, **k: CrashingFile(_open(*a, **k)))
+        for p in params.parameters():
+            p.data += 1.0
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(str(path), params, adam, mcfg, TrainConfig(), ["e"], ["r"], {}, {})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
+        ck = load_checkpoint(str(path))
+        for name, data in saved.items():
+            np.testing.assert_array_equal(ck.params.by_name()[name].data, data)
 
     def test_loaded_values_match(self, tmp_path):
         mcfg = ModelConfig(hidden_dim=16, attention_layers=1, query_layers=1, value_layers=1)
