@@ -33,8 +33,8 @@ from .model import (
     score_query,
 )
 from .training import (
-    CheckpointError, TrainConfig, load_checkpoint, negative_sampling_loss, sample_negatives,
-    split_graph, split_queries, train,
+    CheckpointError, TrainConfig, check_train_settings, load_checkpoint, negative_sampling_loss,
+    sample_negatives, split_graph, split_queries, train,
 )
 
 
@@ -179,6 +179,7 @@ def cmd_train(args) -> int:
     if not dataset_settings.path:
         raise UserError("no dataset path configured")
     dataset = _load_dataset(dataset_settings.path, dataset_settings.mode)
+    check_train_settings(dataset, settings["training"])
     out_dir = run.output_dir or None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -196,8 +197,6 @@ def cmd_train(args) -> int:
 
 def _restore_for_inference(checkpoint_path: str, data_dir: str):
     """Load a checkpoint and re-parse the dataset under its fixed vocabularies."""
-    if not os.path.exists(checkpoint_path):
-        raise UserError(f"checkpoint not found: {checkpoint_path}")
     ck = load_checkpoint(checkpoint_path)
     dataset = _load_dataset(data_dir, entity_vocab=Vocabulary(ck.entity_tokens, frozen=True),
                             relation_vocab=Vocabulary(ck.relation_tokens, frozen=True))
@@ -354,7 +353,7 @@ def cmd_diagnose(args) -> int:
         answer = int(np.argmax(scores.data[:, 0]))
         ztilde = state.query_reprs[-1]
         zhat = state.value_reprs[-1]
-        _, attn = dense_attention_oracle(ztilde, zhat, ck.params.layers[-1].heads[0], config.kernel_mode)
+        _, attn = dense_attention_oracle(ztilde, zhat, ck.params.layers[-1].head, config.kernel_mode)
         row = attn[answer].copy()
         row[answer] = -1.0  # exclude the answer itself from its own top list
         top = np.argsort(-row, kind="stable")[:args.top]

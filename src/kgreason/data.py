@@ -154,12 +154,11 @@ class KnowledgeGraph:
         self.relations = relations
         self.tails = tails
         order = np.lexsort((heads, relations, tails))
-        self._csr_order = order
         self.in_src = RowIndex(heads[order])
         self.in_rel = RowIndex(relations[order])
         self.in_tgt = RowIndex(tails[order])
         self.row_ptr = np.searchsorted(self.in_tgt.idx, np.arange(self.num_entities + 1), side="left")
-        for arr in (self.heads, self.relations, self.tails, self._csr_order, self.row_ptr):
+        for arr in (self.heads, self.relations, self.tails, self.row_ptr):
             arr.flags.writeable = False
         self._edge_positions = None
 

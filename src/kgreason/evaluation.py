@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import KnowledgeGraph, Query
-from .model import ModelConfig, ModelParams, pin_noise, score_query
+from .model import ModelConfig, ModelParams, layer0_query_side, make_noise, pin_noise, score_query
 
 
 class RankingError(Exception):
@@ -104,23 +104,31 @@ def evaluate(
     """Rank every query, in order, and aggregate metrics.
 
     Noise is pinned to ``noise_seed`` (unless the model runs with noise
-    disabled) so reported numbers are reproducible. With noise pinned and no
-    edge excluded, a query's scores depend only on its (head, relation), so
-    each distinct pair is scored once and every gold of that pair is ranked
-    against the one vector; only one vector is held at a time.
+    disabled) and drawn once, so reported numbers are reproducible. With
+    noise pinned and no edge excluded, a query's scores depend only on its
+    (head, relation), so each distinct pair is scored once and every gold of
+    that pair is ranked against the one vector. Pairs run grouped by
+    relation, because layer 0's query side depends on the relation alone:
+    it is computed once per relation and shared by that relation's pairs.
+    Only one relation's query side and one score vector are held at a time.
     """
     eval_config = pin_noise(config, noise_seed)
-    groups: dict[tuple[int, int], list[int]] = {}
+    noise = make_noise(eval_config, graph.num_entities)
+    groups: dict[int, dict[int, list[int]]] = {}     # relation -> head -> query indices
     for i, query in enumerate(queries):
-        groups.setdefault((query.head, query.relation), []).append(i)
+        groups.setdefault(query.relation, {}).setdefault(query.head, []).append(i)
     ranks = [0.0] * len(queries)
-    for members in groups.values():
-        scores = score_query(graph, queries[members[0]], params, eval_config)
-        for i in members:
-            query = queries[i]
-            mask = None if raw else query_filter_mask(query, graph.num_entities)
-            ranks[i] = rank_answer(scores, query.gold_tail, mask)
-        del scores
+    for by_head in groups.values():
+        pairs = [queries[members[0]] for members in by_head.values()]
+        side = layer0_query_side(graph, pairs[0], params, eval_config, noise)
+        for pair, members in zip(pairs, by_head.values()):
+            scores = score_query(graph, pair, params, eval_config, noise, query_side=side)
+            for i in members:
+                query = queries[i]
+                mask = None if raw else query_filter_mask(query, graph.num_entities)
+                ranks[i] = rank_answer(scores, query.gold_tail, mask)
+            del scores
+        del side
     report = compute_metrics(ranks)
     if per_query:
         records = [

@@ -131,7 +131,7 @@ class AttentionHeadParams:
 
 @dataclass
 class LayerParams:
-    heads: list                # the layer's one attention head, named ``layer{i}.head0``
+    head: AttentionHeadParams  # the layer's one attention head, named ``layer{i}.head0``
     ln1_gain: Parameter
     ln1_bias: Parameter
     ln2_gain: Parameter
@@ -139,7 +139,7 @@ class LayerParams:
     ffn: Mlp
 
     def parameters(self):
-        yield from self.heads[0].parameters()
+        yield from self.head.parameters()
         yield from (self.ln1_gain, self.ln1_bias, self.ln2_gain, self.ln2_bias)
         yield from self.ffn.parameters()
 
@@ -200,7 +200,7 @@ class ModelParams:
             )
             ffn_dims = [d] + [FFN_MULTIPLIER * d] * (FFN_DEPTH - 1) + [d]
             self.layers.append(LayerParams(
-                heads=[head],
+                head=head,
                 ln1_gain=ones(f"{pre}.ln1.gain", 1, d),
                 ln1_bias=zeros(f"{pre}.ln1.bias", 1, d),
                 ln2_gain=ones(f"{pre}.ln2.gain", 1, d),
@@ -267,22 +267,35 @@ def _projected_qk(tape: Tape, ztilde: Tensor, head: AttentionHeadParams):
     return q, k
 
 
-def linear_attention(tape: Tape, ztilde: Tensor, zhat: Tensor, head: AttentionHeadParams) -> Tensor:
+def attention_keys(tape: Tape, ztilde: Tensor, head: AttentionHeadParams):
+    """The key side of ``linear_attention``: ``(q, k, denom)``, which depend on ``ztilde`` only.
+
+    ``denom = Q (K^T 1) / |V| + 2`` is each row's normalizer.
+    """
+    n = ztilde.shape[0]
+    dt = ztilde.data.dtype
+    q, k = _projected_qk(tape, ztilde, head)
+    colsum_k = tape.scale(tape.mean_rows(k), n)                 # 1^T K, (1, d)
+    qk1 = tape.matmul(q, tape.transpose(colsum_k))              # Q (K^T 1), (n, 1)
+    denom = tape.add(tape.scale(qk1, 1.0 / n), tape.tensor(np.full((1, 1), 2.0, dtype=dt)))
+    return q, k, denom
+
+
+def linear_attention(tape: Tape, ztilde: Tensor, zhat: Tensor, head: AttentionHeadParams,
+                     keys=None) -> Tensor:
     """Kernelized all-pair mixing in factored O(|V| d^2) order.
 
     Equivalent to dense attention with effective score
     ``kernel(q_u, k_v) + |V| * [u == v]`` row-normalized: the value term
     outside the division carries the |V|-weighted self contribution.
+    ``keys`` is ``attention_keys(tape, ztilde, head)`` when the caller
+    already holds it; otherwise it is computed here.
     """
     n = ztilde.shape[0]
     if n == 0:
         return zhat
-    dt = ztilde.data.dtype
-    q, k = _projected_qk(tape, ztilde, head)
+    q, k, denom = attention_keys(tape, ztilde, head) if keys is None else keys
     v = zhat
-    colsum_k = tape.scale(tape.mean_rows(k), n)                 # 1^T K, (1, d)
-    qk1 = tape.matmul(q, tape.transpose(colsum_k))              # Q (K^T 1), (n, 1)
-    denom = tape.add(tape.scale(qk1, 1.0 / n), tape.tensor(np.full((1, 1), 2.0, dtype=dt)))
     ktv = tape.matmul(tape.transpose(k), v)                     # K^T V, (d, d)
     qktv = tape.matmul(q, ktv)                                  # (n, d)
     colsum_v = tape.scale(tape.mean_rows(v), n)                 # 1^T V, (1, d)
@@ -372,16 +385,58 @@ def head_indicator(config: ModelConfig, num_entities: int, head: int) -> np.ndar
     return indicator
 
 
+def _check_query(graph: KnowledgeGraph, query: Query) -> None:
+    if not 0 <= query.head < graph.num_entities:
+        raise ConfigError(f"query head {query.head} out of range")
+    if not 0 <= query.relation < graph.num_relations:
+        raise ConfigError(f"query relation {query.relation} out of range")
+
+
+@dataclass
+class QuerySide:
+    """Layer 0's query-side tensors for one query relation under one noise draw.
+
+    Layer 0's input is all zeros, so its query network sees only the noise
+    and the query relation, never the head: ``ztilde`` and the attention's
+    key side (``attention_keys``; ``None`` under the exponential kernel,
+    whose dense path projects its own) serve every head of that relation,
+    provided no edge is excluded.
+    """
+
+    ztilde: Tensor
+    keys: Optional[tuple]
+
+
+def layer0_query_side(graph: KnowledgeGraph, query: Query, params: ModelParams,
+                      config: ModelConfig, noise: np.ndarray) -> QuerySide:
+    """Layer 0's query side for ``query``'s relation, exactly as ``forward`` computes it."""
+    _check_query(graph, query)
+    tape = Tape(grad=False)
+    head = params.layers[0].head
+    x = tape.tensor(np.zeros((graph.num_entities, config.hidden_dim), dtype=config.dtype))
+    ztilde = rmpnn_forward(tape, graph, x, query.relation, params.relations, head.query_net, noise)
+    keys = attention_keys(tape, ztilde, head) if config.kernel_mode == "approximate" else None
+    return QuerySide(ztilde, keys)
+
+
 def transformer_layer(tape: Tape, graph: KnowledgeGraph, x: Tensor, query: Query,
                       relations: Parameter, layer: LayerParams, config: ModelConfig,
                       noise: np.ndarray, indicator: np.ndarray, exclude=None,
-                      state: Optional[ForwardState] = None) -> Tensor:
-    """One attention block: Attn -> residual -> LN -> FFN -> residual -> LN."""
-    head = layer.heads[0]
-    ztilde = rmpnn_forward(tape, graph, x, query.relation, relations, head.query_net, noise, exclude)
+                      state: Optional[ForwardState] = None, *,
+                      query_side: Optional[QuerySide] = None) -> Tensor:
+    """One attention block: Attn -> residual -> LN -> FFN -> residual -> LN.
+
+    ``query_side``, given only for layer 0, stands in for its query network.
+    """
+    head = layer.head
+    if query_side is None:
+        ztilde = rmpnn_forward(tape, graph, x, query.relation, relations, head.query_net, noise, exclude)
+        keys = None
+    else:
+        ztilde, keys = query_side.ztilde, query_side.keys
     zhat = rmpnn_forward(tape, graph, x, query.relation, relations, head.value_net, indicator, exclude)
     if config.kernel_mode == "approximate":
-        zbar = linear_attention(tape, ztilde, zhat, head)
+        zbar = linear_attention(tape, ztilde, zhat, head, keys)
     else:
         zbar = dense_attention(tape, ztilde, zhat, head)
     a = tape.layer_norm(tape.add(x, zbar), layer.ln1_gain, layer.ln1_bias, LAYER_NORM_EPS)
@@ -397,13 +452,15 @@ def transformer_layer(tape: Tape, graph: KnowledgeGraph, x: Tensor, query: Query
 
 def forward(tape: Tape, graph: KnowledgeGraph, query: Query, params: ModelParams,
             config: ModelConfig, noise: Optional[np.ndarray] = None,
-            exclude_query_edge: bool = False, state: Optional[ForwardState] = None) -> Tensor:
-    """Score every entity as a tail for the query: sigmoid(MLP(X^(L))), shape (|V|, 1)."""
+            exclude_query_edge: bool = False, state: Optional[ForwardState] = None, *,
+            query_side: Optional[QuerySide] = None) -> Tensor:
+    """Score every entity as a tail for the query: sigmoid(MLP(X^(L))), shape (|V|, 1).
+
+    ``query_side`` is ``layer0_query_side`` of this query's relation under
+    this ``noise``, and needs ``exclude_query_edge=False``.
+    """
     n = graph.num_entities
-    if not 0 <= query.head < n:
-        raise ConfigError(f"query head {query.head} out of range")
-    if not 0 <= query.relation < graph.num_relations:
-        raise ConfigError(f"query relation {query.relation} out of range")
+    _check_query(graph, query)
     if noise is None:
         noise = make_noise(config, n)
     exclude = None
@@ -418,13 +475,16 @@ def forward(tape: Tape, graph: KnowledgeGraph, query: Query, params: ModelParams
         state.x.append(x.data.copy())
     for layer in params.layers:
         x = transformer_layer(tape, graph, x, query, params.relations, layer, config, noise,
-                              indicator, exclude, state)
+                              indicator, exclude, state, query_side=query_side)
+        query_side = None
     return tape.sigmoid(params.scorer.apply(tape, x))
 
 
 def score_query(graph: KnowledgeGraph, query: Query, params: ModelParams, config: ModelConfig,
-                noise: Optional[np.ndarray] = None, exclude_query_edge: bool = False) -> np.ndarray:
+                noise: Optional[np.ndarray] = None, exclude_query_edge: bool = False, *,
+                query_side: Optional[QuerySide] = None) -> np.ndarray:
     """Inference-only forward; returns a flat (|V|,) probability vector."""
     tape = Tape(grad=False)
-    scores = forward(tape, graph, query, params, config, noise, exclude_query_edge)
+    scores = forward(tape, graph, query, params, config, noise, exclude_query_edge,
+                     query_side=query_side)
     return scores.data[:, 0].copy()

@@ -141,8 +141,19 @@ _RETIRED = {
 }
 
 
-def _config_digest(model_config: ModelConfig, train_config: TrainConfig) -> str:
-    blob = json.dumps({"model": asdict(model_config), "train": asdict(train_config)}, sort_keys=True)
+# Keys every header carries, and every entry of its ``tensors`` list.
+_HEADER_KEYS = ("format_version", "config_digest", "model_config", "train_config", "num_relations",
+                "adam_step", "entity_tokens", "relation_tokens", "rng", "training_state", "tensors")
+_TENSOR_KEYS = ("name", "role", "shape", "dtype", "offset", "nbytes")
+
+
+def _config_digest(model_section: dict, train_section: dict) -> str:
+    """sha256 of the two config sections a header records.
+
+    Load verifies the digest against the header's own sections, not against
+    today's dataclasses, so files that record retired settings still load.
+    """
+    blob = json.dumps({"model": model_section, "train": train_section}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -203,7 +214,7 @@ def save_checkpoint(path: str, params: ModelParams, adam: AdamState,
 
     header = {
         "format_version": _FORMAT_VERSION,
-        "config_digest": _config_digest(model_config, train_config),
+        "config_digest": _config_digest(asdict(model_config), asdict(train_config)),
         "model_config": asdict(model_config),
         "train_config": asdict(train_config),
         "num_relations": params.num_relations,
@@ -244,21 +255,34 @@ def _header_settings(path: str, header: dict, key: str, cls):
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        head_len = int.from_bytes(fh.read(8), "little")
-        head = fh.read(head_len)
-        payload = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(len(_MAGIC))
+            head_len = int.from_bytes(fh.read(8), "little")
+            head = fh.read(head_len)
+            payload = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {exc.strerror}") from None
+    if magic != _MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file")
     if len(head) != head_len:
         raise CheckpointError(f"{path}: truncated checkpoint: header runs past the end of the file")
     try:
         header = json.loads(head)
     except ValueError as exc:  # bad encoding or bad JSON
         raise CheckpointError(f"{path}: unreadable checkpoint header: {exc}") from None
-    if header["format_version"] != _FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint format {header['format_version']}")
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: checkpoint header is not a JSON object")
+    if "format_version" in header and header["format_version"] != _FORMAT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint format {header['format_version']!r}")
+    absent = [key for key in _HEADER_KEYS if key not in header]
+    absent += [f"tensors[{i}].{key}" for i, entry in enumerate(header.get("tensors", []))
+               for key in _TENSOR_KEYS if key not in entry]
+    if absent:
+        raise CheckpointError(f"{path}: checkpoint header lacks {', '.join(absent)}")
+    if header["config_digest"] != _config_digest(header["model_config"], header["train_config"]):
+        raise CheckpointError(f"{path}: config_digest does not match the header's "
+                              "model_config and train_config")
     if sum(entry["nbytes"] for entry in header["tensors"]) != len(payload):
         raise CheckpointError(f"{path}: truncated checkpoint: payload size differs from the header's")
     model_config = _header_settings(path, header, "model_config", ModelConfig)
@@ -270,6 +294,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     moments = {"adam_m": adam.m, "adam_v": adam.v}
     loaded = set()
     for entry in header["tensors"]:
+        if entry["role"] not in ("param", *moments) or entry["dtype"] not in ("float64", "float32"):
+            raise CheckpointError(f"{path}: tensor {entry['name']!r} has role {entry['role']!r} and "
+                                  f"dtype {entry['dtype']!r}; a checkpoint stores float params and moments")
         wire = "<f8" if entry["dtype"] == "float64" else "<f4"
         if entry["nbytes"] != math.prod(entry["shape"]) * np.dtype(wire).itemsize:
             raise CheckpointError(f"{path}: tensor {entry['name']!r} has {entry['nbytes']} bytes, "
@@ -277,7 +304,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
         arr = np.frombuffer(raw, dtype=wire).astype(entry["dtype"]).reshape(entry["shape"])
         if entry["name"] not in by_name:
-            raise CheckpointError(f"checkpoint tensor {entry['name']!r} not in model layout")
+            raise CheckpointError(f"{path}: checkpoint tensor {entry['name']!r} not in model layout")
         if entry["role"] == "param":
             by_name[entry["name"]].data = arr
             loaded.add(entry["name"])
@@ -285,7 +312,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             moments[entry["role"]][entry["name"]] = arr
     missing = set(by_name) - loaded
     if missing:
-        raise CheckpointError(f"checkpoint missing tensors: {sorted(missing)[:5]}")
+        raise CheckpointError(f"{path}: checkpoint missing tensors: {sorted(missing)[:5]}")
     return Checkpoint(model_config, train_config, params, adam, header["entity_tokens"],
                       header["relation_tokens"], header["rng"], header["training_state"])
 
@@ -373,6 +400,14 @@ def _param_norms(params: ModelParams, worst: int = 5) -> str:
     return ", ".join(f"{name}={norm:.3e}" for norm, name in norms[:worst])
 
 
+def check_train_settings(dataset: DatasetSplit, train_config: TrainConfig) -> None:
+    """Refuse training settings the dataset cannot support (``train`` runs this first)."""
+    num_entities = len(dataset.entity_vocab)   # the training graph's entities
+    if train_config.num_negatives >= num_entities:
+        raise ConfigError(f"training.num_negatives = {train_config.num_negatives} needs more entities: "
+                          f"the training graph has {num_entities}, and negatives exclude the gold")
+
+
 def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainConfig,
           out_dir: Optional[str] = None, resume_from: Optional[str] = None,
           log=print) -> TrainResult:
@@ -383,11 +418,9 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
     query's own edge and its inverse are dropped from message passing so
     the answer cannot leak through the graph.
     """
+    check_train_settings(dataset, train_config)
     num_rel_aug = 2 * dataset.num_relations
     graph, _ = split_graph(dataset, "train")
-    if train_config.num_negatives >= graph.num_entities:
-        raise ConfigError(f"training.num_negatives = {train_config.num_negatives} needs more entities: "
-                          f"the training graph has {graph.num_entities}, and negatives exclude the gold")
     train_queries, valid_queries = split_queries(dataset, "train", "valid")
     if train_config.max_valid_queries is not None:
         valid_queries = valid_queries[:train_config.max_valid_queries]
@@ -396,7 +429,7 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
         ck = load_checkpoint(resume_from)
         if asdict(ck.model_config) != asdict(model_config):
             raise CheckpointError(
-                "checkpoint model configuration differs from the requested one; "
+                f"{resume_from}: checkpoint model configuration differs from the requested one; "
                 "resuming would silently change the architecture")
         params, adam = ck.params, ck.adam
         shuffle_rng = _restore_rng(ck.rng_states["shuffle"])
@@ -433,8 +466,8 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
             {"epoch": epoch, "best": best, "evals_since_best": evals_since_best},
         )
 
-    def record(epoch, split, loss=None, report=None, wall_ms=None, timing=None):
-        rec = {"epoch": epoch, "split": split, "loss": loss,
+    def record(epoch, split, loss=None, grad_norm=None, report=None, wall_ms=None, timing=None):
+        rec = {"epoch": epoch, "split": split, "loss": loss, "grad_norm": grad_norm,
                "mrr": None, "hits1": None, "hits3": None, "hits10": None,
                "wall_ms": wall_ms if train_config.log_timing else None,
                "queries_per_s": None, "fwd_ms": None, "bwd_ms": None, "opt_ms": None}
@@ -452,6 +485,7 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(len(train_queries))
         epoch_loss = 0.0
+        grad_norm = 0.0
         fwd_s = bwd_s = opt_s = 0.0
         for batch_no, lo in enumerate(range(0, len(order), train_config.batch_size)):
             batch = order[lo:lo + train_config.batch_size]
@@ -479,16 +513,23 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}; "
                     f"largest parameter norms: {_param_norms(params)}")
+            # One sweep per group gives both the finiteness check and the squared norm:
+            # a non-finite entry makes the float64 sum non-finite (as does a norm
+            # past float64's range, which counts as diverged too).
+            sq_norm = 0.0
             for p in params.parameters():
-                if not np.all(np.isfinite(p.grad)):
+                sq = float(np.einsum("ij,ij->", p.grad, p.grad, dtype=np.float64))
+                if not math.isfinite(sq):
                     raise TrainingDiverged(f"non-finite gradient in {p.name} at epoch {epoch}, "
                                            f"batch {batch_no}")
+                sq_norm += sq
+            grad_norm = max(grad_norm, math.sqrt(sq_norm))
             adam_step(params.parameters(), adam, train_config)
             opt_s += time.perf_counter() - t_opt
             epoch_loss += batch_loss
         mean_loss = epoch_loss / len(order)
         wall = time.perf_counter() - t0
-        record(epoch, "train", loss=mean_loss, wall_ms=round(wall * 1000.0, 3),
+        record(epoch, "train", loss=mean_loss, grad_norm=grad_norm, wall_ms=round(wall * 1000.0, 3),
                timing={"queries_per_s": round(len(order) / wall, 3), "fwd_ms": round(fwd_s * 1000.0, 3),
                        "bwd_ms": round(bwd_s * 1000.0, 3), "opt_ms": round(opt_s * 1000.0, 3)})
 

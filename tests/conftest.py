@@ -1,5 +1,6 @@
 """Shared builders for toy graphs, small models and checkpoint edits."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -45,14 +46,28 @@ def random_graph(rng, num_entities, num_base_relations, num_edges, add_inverse=T
     return build_graph(trips, num_entities, num_base_relations, add_inverse=add_inverse)
 
 
-def set_header(path, section: str, key: str, value) -> None:
-    """Rewrite a checkpoint's JSON header with ``section.key`` set to ``value``."""
+def rewrite_header(path, edit) -> None:
+    """Rewrite a checkpoint's JSON header as ``edit(header)`` leaves it."""
     blob = path.read_bytes()
     head_len = int.from_bytes(blob[8:16], "little")
     header = json.loads(blob[16:16 + head_len])
-    header[section][key] = value
+    edit(header)
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(blob[:8] + len(head).to_bytes(8, "little") + head + blob[16 + head_len:])
+
+
+def set_header(path, section: str, key: str, value) -> None:
+    """Set ``section.key`` in a checkpoint's header, as a writer recording that value would.
+
+    The config digest is refreshed to match, so only the edited value is off.
+    """
+    def edit(header):
+        header[section][key] = value
+        blob = json.dumps({"model": header["model_config"], "train": header["train_config"]},
+                          sort_keys=True)
+        header["config_digest"] = hashlib.sha256(blob.encode()).hexdigest()
+
+    rewrite_header(path, edit)
 
 
 @pytest.fixture

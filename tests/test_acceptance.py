@@ -47,7 +47,7 @@ class TestCriterion1AttentionOracle:
             d = int(rng.choice([8, 16, 32]))
             n = int(rng.integers(1, 51))
             _, params = make_model(num_relations=2, seed=10_000 + i, hidden_dim=d)
-            head = params.layers[0].heads[0]
+            head = params.layers[0].head
             ztilde = rng.standard_normal((n, d))
             zhat = rng.standard_normal((n, d))
             tape = Tape(grad=False)
@@ -151,7 +151,7 @@ class TestCriterion5ComplexityScaling:
         sizes = [512, 1024, 2048, 4096]
         rng = np.random.default_rng(5)
         _, params = make_model(num_relations=2, seed=6, hidden_dim=16)
-        head = params.layers[0].heads[0]
+        head = params.layers[0].head
         times = []
         for n in sizes:
             zt = rng.standard_normal((n, 16))

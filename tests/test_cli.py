@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from conftest import set_header
+from conftest import rewrite_header, set_header
 from kgreason.cli import load_run_config, main, UserError
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -156,7 +156,7 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--set", "training.num_negatives=3"]) == 2
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.startswith("error: training.num_negatives = 3") and "has 3" in err
-        assert not (tmp_path / "run" / "metrics.jsonl").exists()
+        assert not (tmp_path / "run").exists()  # refused before any output, resolved.cfg included
         assert main(["train", "--config", str(cfg)]) == 0  # 2 negatives fit beside the gold
 
     def test_out_of_grid_warns_but_runs(self, toy_config, capsys):
@@ -251,8 +251,10 @@ class TestEvalPredictCommands:
         assert rc == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
-    def test_missing_checkpoint_exits_2(self, toy_data):
+    def test_missing_checkpoint_exits_2(self, toy_config, toy_data, capsys):
         assert main(["eval", "--checkpoint", "/nope.bin", "--data", str(toy_data)]) == 2
+        assert main(["train", "--config", str(toy_config), "--resume", "/nope.bin"]) == 2
+        assert capsys.readouterr().err.count("error: /nope.bin: cannot read checkpoint") == 2
 
     def test_single_head_header_loads(self, trained, toy_data, capsys):
         argv = ["predict", "--checkpoint", str(trained), "--data", str(toy_data),
@@ -278,6 +280,26 @@ class TestEvalPredictCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "model_config.dropout" in err
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda h: h.pop("adam_step"), "checkpoint header lacks adam_step"),
+        (lambda h: h.update(config_digest="0" * 64), "config_digest does not match"),
+        (lambda h: h.update(format_version=2), "unsupported checkpoint format 2"),
+        (lambda h: h["tensors"][0].update(name="bogus"), "tensor 'bogus' not in model layout"),
+        (lambda h: h["tensors"][0].update(role="grad"), "has role 'grad'"),
+        (lambda h: h["tensors"][0].update(dtype="int64"), "dtype 'int64'"),
+        (None, "not a checkpoint file"),
+    ], ids=["missing-key", "zeroed-digest", "unknown-version", "unknown-tensor", "unknown-role",
+            "int-dtype", "wrong-magic"])
+    def test_damaged_header_exits_2(self, trained, toy_data, damage, message, capsys):
+        if damage is None:
+            trained.write_bytes(b"KGRCKPT0" + trained.read_bytes()[8:])
+        else:
+            rewrite_header(trained, damage)
+        rc = main(["eval", "--checkpoint", str(trained), "--data", str(toy_data)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trained}: ") and message in err
 
     @pytest.mark.parametrize("keep", [lambda blob: blob[:len(blob) // 2], lambda blob: blob[:-8]],
                              ids=["half", "last-8-bytes-cut"])

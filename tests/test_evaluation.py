@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_model, random_graph
-from kgreason import evaluation
+from kgreason import evaluation, model
 from kgreason.data import Query, build_graph, load_dataset, make_queries, query_filters
 from kgreason.evaluation import (
     MetricsError,
@@ -16,7 +16,7 @@ from kgreason.evaluation import (
     query_filter_mask,
     rank_answer,
 )
-from kgreason.model import pin_noise, score_query
+from kgreason.model import pin_noise, rmpnn_forward, score_query
 
 UMLS_DIR = os.path.join(os.path.dirname(__file__), "..", "data", "umls")
 
@@ -172,6 +172,62 @@ class TestEvaluate:
         assert calls == [(0, 1), (3, 0), (5, 2), (8, 3)]
         assert records == reference
         assert report == compute_metrics([r["rank"] for r in reference])
+
+
+    @pytest.mark.parametrize("raw", [False, True])
+    @pytest.mark.parametrize("noise_mode", ["fixed_seed", "disabled"])
+    @pytest.mark.parametrize("kernel_mode", ["approximate", "full_exponential"])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_relation_grouping_matches_per_pair_loop(self, rng, monkeypatch, precision, kernel_mode,
+                                                     noise_mode, raw):
+        # layer 0's query side is computed once per relation and shared; layer 1 runs as usual
+        cfg, params = make_model(num_relations=4, seed=34, precision=precision, kernel_mode=kernel_mode,
+                                 noise_mode=noise_mode, attention_layers=2)
+        for p in params.parameters():  # off the zero-bias init, where layer 0 ignores the relation
+            p.data += (0.2 * rng.standard_normal(p.data.shape)).astype(p.data.dtype)
+        g = random_graph(rng, 9, 2, 16)
+        pairs = [(0, 1), (3, 1), (0, 2), (5, 1), (3, 1), (7, 2), (0, 1), (2, 0), (8, 2)]
+        queries = [Query(h, r, (h + 1 + i) % 9, frozenset({(h + 1 + i) % 9, (h + 2) % 9}))
+                   for i, (h, r) in enumerate(pairs)]
+        pinned = pin_noise(cfg, 5)
+        reference, vectors = [], {}
+        for q in queries:
+            scores = vectors.setdefault((q.head, q.relation), score_query(g, q, params, pinned))
+            mask = None if raw else query_filter_mask(q, g.num_entities)
+            reference.append({"head": q.head, "relation": q.relation, "gold": q.gold_tail,
+                              "rank": rank_answer(scores, q.gold_tail, mask)})
+        scored = {}
+
+        def keeping(graph, query, *args, **kwargs):
+            scored[(query.head, query.relation)] = score_query(graph, query, *args, **kwargs)
+            return scored[(query.head, query.relation)]
+
+        monkeypatch.setattr(evaluation, "score_query", keeping)
+        report, records = evaluate(g, queries, params, cfg, noise_seed=5, raw=raw, per_query=True)
+        assert scored.keys() == vectors.keys()
+        assert all(scored[pair].tobytes() == vectors[pair].tobytes() for pair in vectors)
+        assert records == reference
+        assert report == compute_metrics([r["rank"] for r in reference])
+
+    def test_layer0_query_net_runs_once_per_relation(self, rng, monkeypatch):
+        cfg, params = make_model(num_relations=4, seed=35, noise_mode="per_forward", attention_layers=2)
+        g = random_graph(rng, 9, 2, 16)
+        pairs = [(0, 1), (3, 1), (0, 2), (5, 1), (3, 1), (7, 2), (0, 1), (2, 0)]
+        queries = [Query(h, r, (h + 1) % 9, frozenset({(h + 1) % 9})) for h, r in pairs]
+        nets = {id(layer.head.query_net): f"layer{i}.query" for i, layer in enumerate(params.layers)}
+        nets.update({id(layer.head.value_net): f"layer{i}.value" for i, layer in enumerate(params.layers)})
+        runs = {name: [] for name in nets.values()}
+
+        def counting(tape, graph, x, rq, relations, net, *args, **kwargs):
+            runs[nets[id(net)]].append(rq)
+            return rmpnn_forward(tape, graph, x, rq, relations, net, *args, **kwargs)
+
+        monkeypatch.setattr(model, "rmpnn_forward", counting)
+        evaluate(g, queries, params, cfg, noise_seed=3)
+        distinct_pairs = list(dict.fromkeys(pairs))
+        assert runs.pop("layer0.query") == [1, 2, 0]
+        for name, relations in runs.items():
+            assert sorted(relations) == sorted(r for _, r in distinct_pairs), name
 
 
 requires_umls = pytest.mark.skipif(

@@ -194,9 +194,11 @@ class TestTrainLoop:
         assert len(lines) == 4  # train + valid per epoch
         for line in lines:
             rec = json.loads(line)
-            assert set(rec) == {"epoch", "split", "loss", "mrr", "hits1", "hits3", "hits10", "wall_ms",
-                                *TIMING_KEYS}
+            assert set(rec) == {"epoch", "split", "loss", "grad_norm", "mrr", "hits1", "hits3", "hits10",
+                                "wall_ms", *TIMING_KEYS}
             assert all(rec[key] is None for key in ("wall_ms", *TIMING_KEYS))  # log_timing=false
+            # the gradient norm is deterministic, so it is logged even without timing
+            assert (rec["grad_norm"] > 0) if rec["split"] == "train" else rec["grad_norm"] is None
         valid_recs = [json.loads(l) for l in lines if json.loads(l)["split"] == "valid"]
         assert valid_recs and all(r["mrr"] is not None for r in valid_recs)
 
