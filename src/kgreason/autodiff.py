@@ -14,6 +14,7 @@ Broadcasting is deliberately narrow: the second operand of ``add`` and
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,24 +251,29 @@ class GradCheckReport:
 
 
 class Tape:
-    """Ordered record of primitive ops plus their adjoint closures.
+    """Ordered record of primitive ops: each node's op name, output and adjoint closure.
 
-    ``grad=False`` skips closure creation for inference-only passes.
+    ``grad=False`` skips closure creation for inference-only passes and
+    records nothing.
     """
 
     def __init__(self, grad: bool = True):
         self.grad_enabled = grad
-        self._record: list[tuple[Tensor, object]] = []
+        self._record: list[tuple[str, Tensor, object]] = []
 
     def __len__(self):
         return len(self._record)
+
+    def op_counts(self) -> dict[str, int]:
+        """Recorded nodes per op name."""
+        return dict(Counter(op for op, _, _ in self._record))
 
     def _emit(self, op: str, data: np.ndarray, bwd) -> Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
         if self.grad_enabled:
-            self._record.append((out, bwd))
+            self._record.append((op, out, bwd))
         return out
 
     def backward(self, loss: Tensor) -> None:
@@ -282,7 +288,7 @@ class Tape:
         if loss.data.size != 1:
             raise ContractError(f"backward: loss must be scalar, got shape {loss.data.shape}")
         loss._add_grad(np.ones_like(loss.data))
-        for out, bwd in reversed(self._record):
+        for _, out, bwd in reversed(self._record):
             if out.grad is not None:
                 bwd(out.grad)
             if not isinstance(out, Parameter):

@@ -12,6 +12,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -33,8 +34,8 @@ from .model import (
     score_query,
 )
 from .training import (
-    CheckpointError, TrainConfig, check_train_settings, load_checkpoint, negative_sampling_loss,
-    sample_negatives, split_graph, split_queries, train,
+    CheckpointError, TrainConfig, check_resume, check_train_settings, load_checkpoint,
+    negative_sampling_loss, sample_negatives, split_graph, split_queries, train,
 )
 
 
@@ -180,6 +181,8 @@ def cmd_train(args) -> int:
         raise UserError("no dataset path configured")
     dataset = _load_dataset(dataset_settings.path, dataset_settings.mode)
     check_train_settings(dataset, settings["training"])
+    if args.resume:
+        check_resume(args.resume, settings["model"])
     out_dir = run.output_dir or None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -378,23 +381,26 @@ def cmd_diagnose(args) -> int:
 def scaling_measurements(sizes, dim=32, reps=3, seed=0):
     """Forward wall-clock on synthetic chains of each size, the fastest of ``reps``.
 
-    The minimum is the estimate least moved by brief stalls of a shared machine.
+    Reps run round-robin across sizes, so a brief stall of a shared machine
+    lands on one rep of several sizes rather than on every rep of one; the
+    minimum is the estimate such a stall moves least.
     """
-    times = []
+    config = ModelConfig(hidden_dim=dim, attention_layers=2, query_layers=2, value_layers=2,
+                         precision="float64", noise_mode="fixed_seed", noise_seed=seed)
+    params = ModelParams(config, 2, np.random.default_rng(seed))
+    cases = []
     for n in sizes:
         trips = [Triplet(i, 0, i + 1) for i in range(n - 1)]
         graph = build_graph(trips, n, 1, add_inverse=True)
-        config = ModelConfig(hidden_dim=dim, attention_layers=2, query_layers=2, value_layers=2,
-                             precision="float64", noise_mode="fixed_seed", noise_seed=seed)
-        params = ModelParams(config, 2, np.random.default_rng(seed))
         query = Query(0, 0, n - 1, frozenset({n - 1}))
         score_query(graph, query, params, config)  # warm up allocations
-        samples = []
-        for _ in range(reps):
+        cases.append((graph, query))
+    times = [math.inf] * len(cases)
+    for _ in range(reps):
+        for i, (graph, query) in enumerate(cases):
             t0 = time.perf_counter()
             score_query(graph, query, params, config)
-            samples.append(time.perf_counter() - t0)
-        times.append(min(samples))
+            times[i] = min(times[i], time.perf_counter() - t0)
     return times
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -38,6 +39,8 @@ DATASET_MODES = ("auto", "transductive", "inductive")
 
 
 class Triplet(NamedTuple):
+    """One hand-written fact; loaded splits are ``(n, 3)`` int64 arrays instead."""
+
     head: int
     relation: int
     tail: int
@@ -60,10 +63,8 @@ class Vocabulary:
     """Token <-> dense-id mapping in first-seen order."""
 
     def __init__(self, tokens: Sequence[str] = (), frozen: bool = False):
-        self._tokens: list[str] = []
-        self._index: dict[str, int] = {}
-        for tok in tokens:
-            self.add(tok)
+        self._tokens: list[str] = list(dict.fromkeys(tokens))
+        self._index: dict[str, int] = dict(zip(self._tokens, range(len(self._tokens))))
         self.frozen = frozen
 
     def __len__(self):
@@ -82,7 +83,7 @@ class Vocabulary:
     def add(self, token: str) -> int:
         if token in self._index:
             return self._index[token]
-        if getattr(self, "frozen", False):
+        if self.frozen:
             raise VocabularyError(f"unknown token {token!r} under fixed vocabulary")
         idx = len(self._tokens)
         self._tokens.append(token)
@@ -95,35 +96,104 @@ class Vocabulary:
         except KeyError:
             raise VocabularyError(f"unknown token {token!r}") from None
 
+    def unseen(self, tokens: Sequence[str]) -> list[str]:
+        """The distinct ``tokens`` not in the vocabulary, in first-seen order."""
+        return [tok for tok in dict.fromkeys(tokens) if tok not in self._index]
+
+    def extend(self, tokens: Sequence[str]) -> None:
+        """Append distinct tokens not yet present, in order; unlike ``add`` this ignores ``frozen``."""
+        self._index.update(zip(tokens, range(len(self._tokens), len(self._tokens) + len(tokens))))
+        self._tokens.extend(tokens)
+
+    def ids(self, tokens: Sequence[str]) -> np.ndarray:
+        """int64 ids of known tokens."""
+        return np.fromiter(map(self._index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+
+
+def _skipped(line: str) -> bool:
+    return not line.strip() or line.lstrip().startswith("#")
+
+
+# First bytes that make a line neither skipped nor blank-led: printable ASCII but "#".
+_PLAIN_START = np.zeros(256, dtype=bool)
+_PLAIN_START[0x21:0x7F] = True
+_PLAIN_START[ord("#")] = False
+
+
+def _plain(text: str) -> bool:
+    """Whether every line (an empty last one aside) has two tabs and a ``_PLAIN_START`` byte first.
+
+    Then no line is skipped or malformed; a False only sends the text
+    through the line-by-line filter.
+    """
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    starts = np.concatenate([[0], np.flatnonzero(raw == ord("\n")) + 1])
+    starts = starts[starts < raw.size]
+    tabs = np.searchsorted(np.flatnonzero(raw == ord("\t")), np.append(starts, raw.size))
+    return bool(_PLAIN_START[raw[starts]].all() and (np.diff(tabs) == 2).all())
+
+
+def _first_line_error(path: str, lines: Sequence[str], entity_vocab: Vocabulary,
+                      relation_vocab: Vocabulary) -> Exception:
+    """The error of a file's first bad line, read line by line as ``add`` would take its tokens.
+
+    Runs only once a file has failed, so vocabularies end up as they would
+    after reading up to that line.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        if _skipped(line):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            return ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+        try:
+            entity_vocab.add(fields[0])
+            relation_vocab.add(fields[1])
+            entity_vocab.add(fields[2])
+        except VocabularyError as exc:
+            return VocabularyError(f"{path}:{lineno}: {exc}")
+
 
 def load_triplets(
     path: str,
     entity_vocab: Optional[Vocabulary] = None,
     relation_vocab: Optional[Vocabulary] = None,
 ):
-    """Parse a triplet file into dense-id triplets.
+    """Parse a triplet file into an ``(n, 3)`` int64 array of dense ``(head, relation, tail)`` ids.
 
-    Vocabularies are built in first-seen order when not supplied; supplied
-    ones are used verbatim and unseen tokens raise ``VocabularyError``.
+    Vocabularies are built in first-seen order (per line: head, relation,
+    tail) when not supplied; supplied ones are used verbatim and unseen
+    tokens of a frozen one raise ``VocabularyError``. Blank lines and lines
+    whose first non-blank character is ``#`` are skipped; line numbers in
+    errors count every line.
     """
     entity_vocab = Vocabulary() if entity_vocab is None else entity_vocab
     relation_vocab = Vocabulary() if relation_vocab is None else relation_vocab
-    triplets: list[Triplet] = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-            try:
-                h = entity_vocab.add(fields[0])
-                r = relation_vocab.add(fields[1])
-                t = entity_vocab.add(fields[2])
-            except VocabularyError as exc:
-                raise VocabularyError(f"{path}:{lineno}: {exc}") from None
-            triplets.append(Triplet(h, r, t))
+        text = fh.read()
+    lines = text.split("\n")
+    if _plain(text):
+        kept = lines if lines[-1] else lines[:-1]
+    else:
+        kept = [line for line in lines if not _skipped(line)]
+        if set(map(str.count, kept, repeat("\t"))) - {2}:
+            raise _first_line_error(path, lines, entity_vocab, relation_vocab)
+    fields = "\t".join(kept).split("\t") if kept else []
+    entities = fields.copy()
+    del entities[1::3]  # head, tail, head, tail, ...: first-seen order within each line
+    relations = fields[1::3]
+    try:  # every token known, as under a checkpoint's vocabularies
+        entity_ids, relation_ids = entity_vocab.ids(entities), relation_vocab.ids(relations)
+    except KeyError:
+        new_entities, new_relations = entity_vocab.unseen(entities), relation_vocab.unseen(relations)
+        if (new_entities and entity_vocab.frozen) or (new_relations and relation_vocab.frozen):
+            raise _first_line_error(path, lines, entity_vocab, relation_vocab) from None
+        entity_vocab.extend(new_entities)
+        relation_vocab.extend(new_relations)
+        entity_ids, relation_ids = entity_vocab.ids(entities), relation_vocab.ids(relations)
+    triplets = np.empty((len(kept), 3), dtype=np.int64)
+    triplets[:, 0::2] = entity_ids.reshape(-1, 2)
+    triplets[:, 1] = relation_ids
     return triplets, entity_vocab, relation_vocab
 
 
@@ -131,10 +201,6 @@ def inverse_relation(relation: int, num_base_relations: int) -> int:
     if relation < num_base_relations:
         return relation + num_base_relations
     return relation - num_base_relations
-
-
-def inverse_triplets(triplets: Sequence[Triplet], num_base_relations: int) -> list[Triplet]:
-    return [Triplet(t, r + num_base_relations, h) for h, r, t in triplets]
 
 
 class KnowledgeGraph:
@@ -153,7 +219,9 @@ class KnowledgeGraph:
         self.heads = heads
         self.relations = relations
         self.tails = tails
-        order = np.lexsort((heads, relations, tails))
+        # One stable sort of the (tail, relation, head) key: the lexicographic order, ties kept.
+        key = (tails * self.num_relations + relations) * self.num_entities + heads
+        order = np.argsort(key, kind="stable")
         self.in_src = RowIndex(heads[order])
         self.in_rel = RowIndex(relations[order])
         self.in_tgt = RowIndex(tails[order])
@@ -221,19 +289,24 @@ class KnowledgeGraph:
         return self.in_src.idx[pos], self.in_rel.idx[pos], self.in_tgt.idx[pos]
 
 
+def _rows(triplets) -> np.ndarray:
+    """An ``(n, 3)`` int64 view of a triplet array or a list of ``Triplet``s."""
+    return np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
+
+
 def build_graph(
-    triplets: Sequence[Triplet],
+    triplets,
     num_entities: int,
     num_base_relations: int,
     add_inverse: bool = True,
 ) -> KnowledgeGraph:
-    """Construct an indexed graph, optionally appending inverse edges.
+    """Construct an indexed graph from ``(n, 3)`` id triplets, optionally appending inverse edges.
 
     With ``add_inverse`` the input must contain only base relations (ids
     below ``num_base_relations``); feeding an already-augmented edge list
     back through augmentation is rejected.
     """
-    arr = np.asarray([(h, r, t) for h, r, t in triplets], dtype=np.int64).reshape(-1, 3)
+    arr = _rows(triplets)
     heads, rels, tails = arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy()
     if arr.size:
         if heads.min() < 0 or heads.max() >= num_entities or tails.min() < 0 or tails.max() >= num_entities:
@@ -259,17 +332,17 @@ def build_graph(
     return KnowledgeGraph(heads, rels, tails, num_entities, num_base_relations, num_relations)
 
 
-def build_filter_sets(*triplet_lists: Sequence[Triplet]) -> dict:
+def build_filter_sets(*triplet_lists) -> dict:
     """Union of true tails per (head, relation) across the given splits."""
     filters: dict[tuple[int, int], set] = {}
     for triplets in triplet_lists:
-        for h, r, t in triplets:
+        for h, r, t in _rows(triplets).tolist():
             filters.setdefault((h, r), set()).add(t)
     return filters
 
 
 def make_queries(
-    triplets: Sequence[Triplet],
+    triplets,
     num_base_relations: int,
     filters: dict,
 ) -> list[Query]:
@@ -280,25 +353,25 @@ def make_queries(
     ``filters`` mapping must already cover inverse-relation keys.
     """
     queries = []
-    for h, r, t in triplets:
+    for h, r, t in _rows(triplets).tolist():
         queries.append(Query(h, r, t, frozenset(filters[(h, r)])))
         inv = r + num_base_relations
         queries.append(Query(t, inv, h, frozenset(filters[(t, inv)])))
     return queries
 
 
-def query_filters(triplet_lists: Sequence[Sequence[Triplet]], num_base_relations: int) -> dict:
+def query_filters(triplet_lists, num_base_relations: int) -> dict:
     """Filter sets over the inverse-augmented query space of the given splits."""
     augmented = []
     for triplets in triplet_lists:
-        augmented.append(triplets)
-        augmented.append(inverse_triplets(triplets, num_base_relations))
+        rows = _rows(triplets)
+        augmented += [rows, rows[:, ::-1] + (0, num_base_relations, 0)]
     return build_filter_sets(*augmented)
 
 
 @dataclass
 class DatasetSplit:
-    """A loaded benchmark: triplet splits plus their vocabularies.
+    """A loaded benchmark: ``(n, 3)`` int64 id splits plus their vocabularies.
 
     In inductive mode the test-time fact graph (``inference``) and the test
     queries live in their own entity vocabulary (entity sets are disjoint
@@ -308,12 +381,12 @@ class DatasetSplit:
 
     name: str
     mode: str
-    train: list
-    valid: list
-    test: list
+    train: np.ndarray
+    valid: np.ndarray
+    test: np.ndarray
     entity_vocab: Vocabulary
     relation_vocab: Vocabulary
-    inference: Optional[list] = None
+    inference: Optional[np.ndarray] = None
     inference_entity_vocab: Optional[Vocabulary] = None
 
     @property

@@ -145,9 +145,13 @@ class LayerParams:
 
 
 class ModelParams:
-    """All learnable state, addressable by stable name paths."""
+    """All learnable state, addressable by stable name paths.
 
-    def __init__(self, config: ModelConfig, num_relations: int, rng: np.random.Generator):
+    Weights are drawn from ``rng`` in a fixed order; with ``rng=None`` they
+    are zero, a layout for a checkpoint's tensors to fill.
+    """
+
+    def __init__(self, config: ModelConfig, num_relations: int, rng: Optional[np.random.Generator]):
         config.validate()
         d = config.hidden_dim
         dt = config.dtype
@@ -156,6 +160,8 @@ class ModelParams:
         self.config = config
 
         def weight(name, rows, cols):
+            if rng is None:
+                return zeros(name, rows, cols)
             return Parameter(name, rng.normal(0.0, std, size=(rows, cols)).astype(dt))
 
         def zeros(name, rows, cols):

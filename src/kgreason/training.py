@@ -287,7 +287,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"{path}: truncated checkpoint: payload size differs from the header's")
     model_config = _header_settings(path, header, "model_config", ModelConfig)
     train_config = _header_settings(path, header, "train_config", TrainConfig)
-    params = ModelParams(model_config, header["num_relations"], np.random.default_rng(0))
+    params = ModelParams(model_config, header["num_relations"], None)
     adam = AdamState(params.parameters())
     adam.step = header["adam_step"]
     by_name = params.by_name()
@@ -408,6 +408,20 @@ def check_train_settings(dataset: DatasetSplit, train_config: TrainConfig) -> No
                           f"the training graph has {num_entities}, and negatives exclude the gold")
 
 
+def check_resume(resume_from: str, model_config: ModelConfig) -> Checkpoint:
+    """The checkpoint a run resumes from, refused unless it has the requested architecture.
+
+    ``train`` runs this before it trains; ``kgreason train`` runs it first too,
+    so a refused resume writes nothing into the output directory.
+    """
+    ck = load_checkpoint(resume_from)
+    if asdict(ck.model_config) != asdict(model_config):
+        raise CheckpointError(
+            f"{resume_from}: checkpoint model configuration differs from the requested one; "
+            "resuming would silently change the architecture")
+    return ck
+
+
 def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainConfig,
           out_dir: Optional[str] = None, resume_from: Optional[str] = None,
           log=print) -> TrainResult:
@@ -426,11 +440,7 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
         valid_queries = valid_queries[:train_config.max_valid_queries]
 
     if resume_from:
-        ck = load_checkpoint(resume_from)
-        if asdict(ck.model_config) != asdict(model_config):
-            raise CheckpointError(
-                f"{resume_from}: checkpoint model configuration differs from the requested one; "
-                "resuming would silently change the architecture")
+        ck = check_resume(resume_from, model_config)
         params, adam = ck.params, ck.adam
         shuffle_rng = _restore_rng(ck.rng_states["shuffle"])
         neg_rng = _restore_rng(ck.rng_states["negatives"])

@@ -268,7 +268,7 @@ class TestBackwardSemantics:
     def test_grad_disabled_tape_records_nothing(self):
         t = Tape(grad=False)
         x = t.relu(t.tensor([[1.0]]))
-        assert len(t) == 0 and x.data[0, 0] == 1.0
+        assert len(t) == 0 and t.op_counts() == {} and x.data[0, 0] == 1.0
 
 
 class TestGradCheck:

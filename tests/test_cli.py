@@ -159,6 +159,27 @@ class TestTrainCommand:
         assert not (tmp_path / "run").exists()  # refused before any output, resolved.cfg included
         assert main(["train", "--config", str(cfg)]) == 0  # 2 negatives fit beside the gold
 
+    def test_refused_resume_writes_nothing(self, toy_config, tmp_path, capsys):
+        out = tmp_path / "first"
+        assert main(["train", "--config", str(toy_config), "--set", "training.epochs=1",
+                     "--set", "model.hidden_dim=8", "--out", str(out)]) == 0
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        rc = main(["train", "--config", str(toy_config), "--resume", str(out / "checkpoint.bin"),
+                   "--set", "model.hidden_dim=16", "--out", str(out)])
+        assert rc == 2
+        assert "checkpoint model configuration differs" in capsys.readouterr().err
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before  # resolved.cfg included
+
+    @pytest.mark.parametrize("split, line, message", [
+        ("train", "a\tr0", "{path}:8: expected 3 tab-separated fields, got 2"),
+        ("valid", "a\tnew\tb", "{path}:3: unknown token 'new' under fixed vocabulary"),
+    ])
+    def test_bad_data_line_exits_2(self, toy_config, toy_data, split, line, message, capsys):
+        path = toy_data / f"{split}.txt"
+        path.write_text(path.read_text() + f"# comment\r\n{line}\n")
+        assert main(["train", "--config", str(toy_config)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: " + message.format(path=path)
+
     def test_out_of_grid_warns_but_runs(self, toy_config, capsys):
         rc = main(["train", "--config", str(toy_config), "--set", "model.hidden_dim=8",
                    "--set", "training.epochs=1"])
@@ -244,6 +265,16 @@ class TestEvalPredictCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {command[-1]} must be at least 1, got {value}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_unknown_data_token_under_checkpoint_vocabulary_exits_2(self, trained, toy_data, command,
+                                                                    capsys):
+        path = toy_data / "test.txt"
+        path.write_text(path.read_text() + "a\tr0\tzz\n")
+        argv = [command, "--checkpoint", str(trained), "--data", str(toy_data)]
+        rc = main(argv + (["--head", "a", "--relation", "r0"] if command == "predict" else []))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {path}:2: unknown token 'zz' under fixed vocabulary\n"
 
     def test_inverse_relation_token(self, trained, toy_data, capsys):
         rc = main(["predict", "--checkpoint", str(trained), "--data", str(toy_data),

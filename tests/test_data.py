@@ -13,7 +13,6 @@ from kgreason.data import (
     VocabularyError,
     build_filter_sets,
     build_graph,
-    inverse_triplets,
     load_dataset,
     load_triplets,
     make_queries,
@@ -27,19 +26,83 @@ def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def tuple_parser(path, entity_vocab=None, relation_vocab=None):
+    """Reference reader: one ``Vocabulary.add`` per token, line by line, into ``Triplet``s."""
+    entity_vocab = Vocabulary() if entity_vocab is None else entity_vocab
+    relation_vocab = Vocabulary() if relation_vocab is None else relation_vocab
+    triplets = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+            try:
+                h = entity_vocab.add(fields[0])
+                r = relation_vocab.add(fields[1])
+                t = entity_vocab.add(fields[2])
+            except VocabularyError as exc:
+                raise VocabularyError(f"{path}:{lineno}: {exc}") from None
+            triplets.append(Triplet(h, r, t))
+    return triplets, entity_vocab, relation_vocab
+
+
+# Comments (indented too), blank and whitespace-only lines (tabs and a no-break space
+# among them), CRLF and lone-CR endings, tokens with inner, leading and trailing spaces,
+# non-ASCII tokens, a "#" inside a token, and no final newline.
+AWKWARD = ("# header\r\n a b\tr 1\tc \r\n\r\n   \t \n\t\t\n\t# indented\tcomment\tline\n"
+           "x\tr 1\t a b\r  \n\u00a0\n\u00e9t\u00e9\tr#2\tx\n\n# a\tb\nd\tr2\te#f\n  \t\t \n"
+           "c \tr2\t\u00e9t\u00e9")
+
+
+def wn18rr_lines(seed, count=3000, entities=2000):
+    """WN18RR-shaped facts: zero-padded numeric entities, skewed endpoints and relations."""
+    rng = np.random.default_rng(seed)
+    relations = ["_hypernym", "_derivationally_related_form", "_member_meronym", "_has_part",
+                 "_also_see", "_similar_to"]
+    heads, tails = (entities * rng.random((2, count)) ** 2).astype(int)
+    rels = rng.choice(len(relations), size=count, p=[0.4, 0.3, 0.12, 0.1, 0.06, 0.02])
+    return [f"{h:08d}\t{relations[r]}\t{t:08d}" for h, r, t in zip(heads, rels, tails)]
+
+
+@pytest.fixture(params=["umls-train", "umls-valid", "wn18rr", "awkward"])
+def triplet_file(request, tmp_path):
+    if request.param.startswith("umls"):
+        path = os.path.join(UMLS_DIR, request.param[5:] + ".txt")
+        if not os.path.exists(path):
+            pytest.skip("bundled UMLS files missing")
+        return path
+    f = tmp_path / "t.txt"
+    if request.param == "wn18rr":
+        write_lines(f, wn18rr_lines(5))
+    else:
+        f.write_bytes(AWKWARD.encode("utf-8"))
+    return str(f)
+
+
+def assert_same_parse(got, want):
+    """``load_triplets`` output against the reference reader's: ids, array form, vocabularies."""
+    (arr, ev, rv), (trips, ev_ref, rv_ref) = got, want
+    assert arr.dtype == np.int64 and arr.shape == (len(trips), 3)
+    assert arr.tolist() == [list(t) for t in trips]
+    assert ev.tokens == ev_ref.tokens and rv.tokens == rv_ref.tokens
+
+
 class TestLoadTriplets:
     def test_basic_first_seen_ids(self, tmp_path):
         f = tmp_path / "t.txt"
         write_lines(f, ["a\tr1\tb", "b\tr2\tc", "# comment line", "a\tr1\tc"])
         trips, ev, rv = load_triplets(str(f))
-        assert trips == [Triplet(0, 0, 1), Triplet(1, 1, 2), Triplet(0, 0, 2)]
+        assert trips.tolist() == [[0, 0, 1], [1, 1, 2], [0, 0, 2]]
         assert ev.tokens == ("a", "b", "c") and rv.tokens == ("r1", "r2")
 
     def test_empty_file(self, tmp_path):
         f = tmp_path / "t.txt"
         f.write_text("")
         trips, ev, rv = load_triplets(str(f))
-        assert trips == [] and len(ev) == 0 and len(rv) == 0
+        assert trips.shape == (0, 3) and len(ev) == 0 and len(rv) == 0
 
     def test_malformed_line_reports_lineno(self, tmp_path):
         f = tmp_path / "t.txt"
@@ -53,6 +116,69 @@ class TestLoadTriplets:
         ev = Vocabulary(["a", "b"], frozen=True)
         with pytest.raises(VocabularyError, match="'z'"):
             load_triplets(str(f), entity_vocab=ev)
+
+    def test_first_seen_matches_tuple_parser(self, triplet_file):
+        assert_same_parse(load_triplets(triplet_file), tuple_parser(triplet_file))
+
+    def test_fixed_vocabularies_match_tuple_parser(self, triplet_file):
+        _, ev, rv = tuple_parser(triplet_file)
+        # ids that differ from first-seen positions: the vocabulary decides, not the file
+        ent, rel = list(reversed(ev.tokens)), list(reversed(rv.tokens))
+        got = load_triplets(triplet_file, Vocabulary(ent, frozen=True), Vocabulary(rel, frozen=True))
+        want = tuple_parser(triplet_file, Vocabulary(ent, frozen=True), Vocabulary(rel, frozen=True))
+        assert_same_parse(got, want)
+
+    @pytest.mark.parametrize("odd", ["#00000001\t_hypernym\t00000002", "\t\t", " \t\t ", "\u00a0\t\t",
+                                     " 00000001\t_hypernym\t00000002", "\u00e9\t_hypernym\t00000002"])
+    def test_one_odd_line_among_plain_ones(self, tmp_path, odd):
+        # skipped or space-led lines with two tabs, where every other line is plain
+        f = tmp_path / "t.txt"
+        lines = wn18rr_lines(6, count=50)
+        write_lines(f, lines[:20] + [odd] + lines[20:])
+        assert_same_parse(load_triplets(str(f)), tuple_parser(str(f)))
+
+    def test_growing_vocabulary_matches_tuple_parser(self, triplet_file):
+        # a later split: entities seen before keep their ids, new ones append in order
+        _, ev, rv = tuple_parser(triplet_file)
+        seen = list(ev.tokens[::3])
+        got = load_triplets(triplet_file, Vocabulary(seen), Vocabulary(rv.tokens, frozen=True))
+        want = tuple_parser(triplet_file, Vocabulary(seen), Vocabulary(rv.tokens, frozen=True))
+        assert_same_parse(got, want)
+
+    @pytest.mark.parametrize("text, fixed", [
+        ("a\tr\tb\n# c\n\nbroken line\n", ()),
+        ("a\tr\tb\nc\tr\td\te\n", ()),
+        ("a\tr\nb\tr\tc\td\n", ()),                       # 2 then 4 fields: no realignment
+        ("a\tr\tb\r\n\r\nb\tr\r\n", ()),
+        ("# z\tq\tz\na\tr\tb\nb\tr\tz\n", ("entity",)),   # skipped lines hold no tokens
+        ("a\tr\tb\nb\tq\tnew\n", ("relation",)),            # entities before it still add
+        ("z\tr\ta\n", ("entity", "relation")),
+        ("a\tr\tb\na\tq\tb\nbroken\n", ("relation",)),     # the first bad line wins
+        ("a\tr\tb\nbroken\na\tq\tb\n", ("relation",)),
+        ("a\tr\tb\na\tq\tb", ("relation",)),
+    ])
+    def test_errors_match_tuple_parser(self, tmp_path, text, fixed):
+        f = tmp_path / "t.txt"
+        f.write_bytes(text.encode("utf-8"))
+
+        def vocabularies():
+            return (Vocabulary(["a", "b"], frozen="entity" in fixed),
+                    Vocabulary(["r"], frozen="relation" in fixed))
+
+        ev, rv = vocabularies()
+        with pytest.raises((ParseError, VocabularyError)) as got:
+            load_triplets(str(f), ev, rv)
+        ev_ref, rv_ref = vocabularies()
+        with pytest.raises((ParseError, VocabularyError)) as want:
+            tuple_parser(str(f), ev_ref, rv_ref)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{f}:")
+        assert ev.tokens == ev_ref.tokens and rv.tokens == rv_ref.tokens
+
+    def test_vocabulary_keeps_add_dedupe(self):
+        vocab = Vocabulary(["b", "a", "b", "c", "a"])
+        assert vocab.tokens == ("b", "a", "c") and [vocab.id(t) for t in "bac"] == [0, 1, 2]
+        assert Vocabulary(["x", "x"], frozen=True).tokens == ("x",)
 
     def test_vocab_roundtrip_identical_ids(self, tmp_path):
         # checkpoints store the token list and rebuild a fixed vocabulary from it
@@ -96,11 +222,28 @@ class TestBuildGraph:
         m = int(rng.integers(0, 200))
         trips = [Triplet(int(rng.integers(n)), int(rng.integers(r)), int(rng.integers(n))) for _ in range(m)]
         g = build_graph(trips, n, r, add_inverse=True)
-        all_edges = trips + inverse_triplets(trips, r)
+        all_edges = trips + [Triplet(t, rel + r, h) for h, rel, t in trips]
         for u in range(n):
             expected = sorted((h, rel) for h, rel, t in all_edges if t == u)
             got = sorted(g.incoming(u))
             assert got == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_index_equals_lexsort_order(self, seed):
+        # many duplicates and ties; the array and the Triplet list build the same bytes
+        rng = np.random.default_rng(seed)
+        n, r = int(rng.integers(2, 40)), int(rng.integers(1, 6))
+        arr = np.stack([rng.integers(n, size=500), rng.integers(r, size=500), rng.integers(n, size=500)], 1)
+        heads = np.concatenate([arr[:, 0], arr[:, 2]])
+        rels = np.concatenate([arr[:, 1], arr[:, 1] + r])
+        tails = np.concatenate([arr[:, 2], arr[:, 0]])
+        order = np.lexsort((heads, rels, tails))
+        want = (heads[order], rels[order], tails[order],
+                np.searchsorted(tails[order], np.arange(n + 1), side="left"))
+        for triplets in (arr, [Triplet(*row) for row in arr.tolist()]):
+            g = build_graph(triplets, n, r, add_inverse=True)
+            got = (g.in_src.idx, g.in_rel.idx, g.in_tgt.idx, g.row_ptr)
+            assert [a.tobytes() for a in got] == [w.tobytes() for w in want]
 
     def test_edges_index_roundtrip_lossless(self):
         rng = np.random.default_rng(42)
@@ -151,6 +294,16 @@ class TestFilterSets:
         assert queries[1].head == 1 and queries[1].relation == 1 and queries[1].gold_tail == 0
         assert queries[1].filter_set == {0, 2}
 
+    def test_arrays_give_python_ints(self):
+        arr = np.array([[0, 0, 1], [2, 0, 1]], dtype=np.int64)
+        filters = query_filters([arr], num_base_relations=1)
+        assert filters == query_filters([[Triplet(0, 0, 1), Triplet(2, 0, 1)]], num_base_relations=1)
+        queries = make_queries(arr, 1, filters)
+        assert queries == make_queries([Triplet(0, 0, 1), Triplet(2, 0, 1)], 1, filters)
+        for q in queries:
+            assert all(type(v) is int for v in (q.head, q.relation, q.gold_tail, *q.filter_set))
+        assert all(type(v) is int for key, tails in filters.items() for v in (*key, *tails))
+
 
 requires_umls = pytest.mark.skipif(
     not os.path.exists(os.path.join(UMLS_DIR, "train.txt")), reason="bundled UMLS files missing"
@@ -169,7 +322,7 @@ class TestUMLS:
     def test_filter_sets_account_for_every_distinct_triplet(self):
         ds = load_dataset(UMLS_DIR)
         filters = build_filter_sets(ds.train, ds.valid, ds.test)
-        distinct = set(ds.train) | set(ds.valid) | set(ds.test)
+        distinct = {tuple(row) for split in (ds.train, ds.valid, ds.test) for row in split.tolist()}
         assert sum(len(s) for s in filters.values()) == len(distinct)
 
     def test_augmented_graph_counts(self):
@@ -189,7 +342,32 @@ class TestInductiveLayout:
         ds = load_dataset(str(d))
         assert ds.mode == "inductive"
         assert ds.num_entities == 3 and ds.num_inference_entities == 2
-        assert ds.inference == [Triplet(0, 0, 1)] and ds.test == [Triplet(1, 0, 0)]
+        assert ds.inference.tolist() == [[0, 0, 1]] and ds.test.tolist() == [[1, 0, 0]]
+
+    def test_splits_match_tuple_parser(self, tmp_path):
+        d = tmp_path / "toy"
+        d.mkdir()
+        inference = wn18rr_lines(8, count=200, entities=50)
+        relations = list(dict.fromkeys(line.split("\t")[1] for line in inference))
+        train = AWKWARD + "".join(f"\n{h}\t{r}\t{h}" for h, r in zip("abcdef", relations))
+        (d / "train.txt").write_bytes(train.encode("utf-8"))
+        write_lines(d / "valid.txt", ["# valid", "x\tr2\tnew entity", "", "c \tr 1\td"])
+        write_lines(d / "inference.txt", inference)
+        test = f"00000003\t{relations[0]}\t00000007\r\n\r\n00000001\tr2\t00000002"
+        (d / "test.txt").write_bytes(test.encode("utf-8"))
+        ds = load_dataset(str(d))
+        ev, rv = Vocabulary(), Vocabulary()
+        train, _, _ = tuple_parser(str(d / "train.txt"), ev, rv)
+        rv.frozen = True
+        valid, _, _ = tuple_parser(str(d / "valid.txt"), ev, rv)
+        iv = Vocabulary()
+        inference, _, _ = tuple_parser(str(d / "inference.txt"), iv, rv)
+        test, _, _ = tuple_parser(str(d / "test.txt"), iv, rv)
+        assert ds.mode == "inductive"
+        for got, want in ((ds.train, train), (ds.valid, valid), (ds.inference, inference), (ds.test, test)):
+            assert got.dtype == np.int64 and got.tolist() == [list(t) for t in want]
+        assert ds.entity_vocab.tokens == ev.tokens and ds.relation_vocab.tokens == rv.tokens
+        assert ds.inference_entity_vocab.tokens == iv.tokens
 
     def test_inference_new_relation_rejected(self, tmp_path):
         d = tmp_path / "toy"

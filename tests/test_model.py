@@ -1,21 +1,26 @@
 """Architecture tests: message passing, kernels, attention, full forward."""
 
+import os
+
 import numpy as np
 import pytest
 
 from conftest import chain_graph, make_config, make_model, random_graph
 from kgreason.autodiff import Tape, grad_check
+from kgreason.cli import load_run_config
 from kgreason.data import Query, Triplet, build_graph
 from kgreason.model import (
     DENSE_GUARD,
     LAYER_NORM_EPS,
     ConfigError,
     DenseScopeError,
+    ModelParams,
     dense_attention,
     dense_attention_oracle,
     forward,
     head_indicator,
     linear_attention,
+    make_noise,
     relation_transform,
     rmpnn_forward,
     score_query,
@@ -23,6 +28,8 @@ from kgreason.model import (
     ForwardState,
 )
 from kgreason.training import negative_sampling_loss
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 # --- independent oracles -----------------------------------------------------
@@ -387,6 +394,22 @@ class TestForward:
         tape.backward(tape.scale(loss, 0.25))
         assert len(tape) <= 130
         assert all(np.isfinite(p.grad).all() for p in params.parameters())
+
+    def test_training_query_op_counts(self, rng):
+        # the shipped UMLS architecture: a training query's 120 nodes, counted per op
+        cfg = load_run_config(os.path.join(CONFIGS, "umls.cfg"))["model"]
+        params = ModelParams(cfg, 4, np.random.default_rng(27))
+        g = random_graph(rng, 12, 2, 20)
+        h, r, t_ = g.edges[0]
+        tape = Tape()
+        scores = forward(tape, g, Query(h, r, t_, frozenset({t_})), params, cfg,
+                         noise=make_noise(cfg, 12, rng), exclude_query_edge=True)
+        loss = negative_sampling_loss(tape, scores, t_, np.array([i for i in range(5) if i != t_]))
+        tape.backward(tape.scale(loss, 1.0 / 16))
+        counts = tape.op_counts()
+        assert sum(counts.values()) == len(tape) == 120
+        assert counts["relational_aggregate"] == 8  # 2 layers x (query, value) net x 2 rounds
+        assert counts["layer_norm"] == 4 and counts["sigmoid"] == 1
 
     def test_state_collection_shapes(self, rng):
         cfg, params = make_model(num_relations=4, seed=25, attention_layers=2)

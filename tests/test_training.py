@@ -465,6 +465,35 @@ class TestCheckpointContainer:
         for name, data in saved.items():
             np.testing.assert_array_equal(ck.params.by_name()[name].data, data)
 
+    def test_load_fills_params_and_moments_without_drawing(self, tmp_path, monkeypatch):
+        mcfg = ModelConfig(hidden_dim=16, attention_layers=2, query_layers=2, value_layers=2,
+                           precision="float32")
+        params = ModelParams(mcfg, 6, np.random.default_rng(9))
+        adam = AdamState(params.parameters())
+        fill = np.random.default_rng(10)
+        for p in params.parameters():
+            adam.m[p.name][...] = fill.standard_normal(p.data.shape)
+            adam.v[p.name][...] = fill.random(p.data.shape)
+        adam.step = 4
+        path = tmp_path / "c.bin"
+        save_checkpoint(str(path), params, adam, mcfg, TrainConfig(), ["e"], ["r"], {}, {})
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew from an RNG")
+
+        for name in ("default_rng", "Generator", "PCG64", "SeedSequence"):
+            monkeypatch.setattr(np.random, name, no_draws)
+        ck = load_checkpoint(str(path))
+        monkeypatch.undo()
+        assert ck.adam.step == 4
+        loaded = ck.params.parameters()
+        assert [p.name for p in loaded] == [p.name for p in params.parameters()]
+        for p, q in zip(params.parameters(), loaded):
+            assert q.data.dtype == p.data.dtype and q.data.tobytes() == p.data.tobytes()
+            assert ck.adam.m[p.name].tobytes() == adam.m[p.name].tobytes()
+            assert ck.adam.v[p.name].tobytes() == adam.v[p.name].tobytes()
+            assert q.grad.shape == q.data.shape and not q.grad.any()
+
     def test_loaded_values_match(self, tmp_path):
         mcfg = ModelConfig(hidden_dim=16, attention_layers=1, query_layers=1, value_layers=1)
         params = ModelParams(mcfg, 4, np.random.default_rng(8))
