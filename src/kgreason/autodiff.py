@@ -100,37 +100,6 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
-class RowIndex:
-    """Integer row-index list with a lazily built scatter plan.
-
-    Scatter-add is implemented as sort-then-segment-sum. The argsort and
-    segment boundaries depend only on the index list, so graphs reuse one
-    RowIndex per edge column and pay for the plan once.
-    """
-
-    __slots__ = ("idx", "_plan")
-
-    def __init__(self, idx):
-        self.idx = np.ascontiguousarray(np.asarray(idx, dtype=np.int64).reshape(-1))
-        self.idx.flags.writeable = False
-        self._plan = None
-
-    def __len__(self):
-        return self.idx.shape[0]
-
-    def plan(self):
-        if self._plan is None:
-            if len(self) == 0:
-                self._plan = (None, None, None)
-            else:
-                sorted_already = bool(np.all(self.idx[1:] >= self.idx[:-1]))
-                order = None if sorted_already else np.argsort(self.idx, kind="stable")
-                key = self.idx if order is None else self.idx[order]
-                starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-                self._plan = (order, starts, key[starts])
-        return self._plan
-
-
 # Fixed cost of running one bucket of a ProductSumPlan (its NumPy calls and their
 # temporaries), in padded rows. Two length classes share a bucket when the padding
 # that adds costs less than this.
@@ -216,17 +185,14 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b if a.shape[1] == 1 else a @ b
 
 
-def _as_rows(rows) -> RowIndex:
-    return rows if isinstance(rows, RowIndex) else RowIndex(rows)
+def _as_index(rows) -> np.ndarray:
+    return np.asarray(rows, dtype=np.int64).reshape(-1)
 
 
-def _scatter_add(num_rows: int, rows: RowIndex, values: np.ndarray) -> np.ndarray:
+def _scatter_add(num_rows: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``out[rows[i]] += values[i]`` into zeros, in index order."""
     out = np.zeros((num_rows, values.shape[1]), dtype=values.dtype)
-    if len(rows) == 0:
-        return out
-    order, starts, targets = rows.plan()
-    segment_vals = values if order is None else values.take(order, axis=0)
-    out[targets] = np.add.reduceat(segment_vals, starts, axis=0)
+    np.add.at(out, rows, values)
     return out
 
 
@@ -313,26 +279,11 @@ class Tape:
 
         return self._emit("matmul", ad @ bd, bwd)
 
-    def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-        """``x @ w + b`` with a row bias ``b``: the matmul -> add chain as one node."""
-        if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
-            raise ShapeError("linear", x.shape, w.shape, b.shape)
-        xd, wd = x.data, w.data
-
-        def bwd(g):
-            b._add_grad(g.sum(axis=0, keepdims=True), fresh=True)
-            x._add_grad(_product(g, wd.T), fresh=True)
-            w._add_grad(_product(xd.T, g), fresh=True)
-
-        out = xd @ wd
-        out += b.data
-        return self._emit("linear", out, bwd)
-
     def mlp(self, x: Tensor, weights: list, biases: list) -> Tensor:
         """Linear layers with ReLU between them (the last stays linear), as one node.
 
         The value and every gradient are bit for bit those of the
-        ``linear``/``relu`` chain it replaces.
+        ``matmul``/``add``/``relu`` chain it replaces; one layer is ``x @ w + b``.
         """
         if not weights or len(weights) != len(biases):
             raise ShapeError("mlp", f"{len(weights)} weights", f"{len(biases)} biases")
@@ -541,27 +492,26 @@ class Tape:
 
         return self._emit("row_l2_normalize", out_data, bwd)
 
-    def gather_rows(self, a: Tensor, rows: RowIndex) -> Tensor:
-        rows = _as_rows(rows)
-        if len(rows) and (rows.idx.min() < 0 or rows.idx.max() >= a.shape[0]):
-            raise ShapeError("gather_rows", a.shape, f"index max {rows.idx.max()}")
+    def gather_rows(self, a: Tensor, rows) -> Tensor:
+        rows = _as_index(rows)
+        if len(rows) and (rows.min() < 0 or rows.max() >= a.shape[0]):
+            raise ShapeError("gather_rows", a.shape, f"index max {rows.max()}")
         num_rows = a.shape[0]
 
         def bwd(g):
             a._add_grad(_scatter_add(num_rows, rows, g), fresh=True)
 
-        return self._emit("gather_rows", a.data.take(rows.idx, axis=0), bwd)
+        return self._emit("gather_rows", a.data.take(rows, axis=0), bwd)
 
-    def scatter_add_rows(self, num_rows: int, rows: RowIndex, a: Tensor) -> Tensor:
-        rows = _as_rows(rows)
+    def scatter_add_rows(self, num_rows: int, rows, a: Tensor) -> Tensor:
+        rows = _as_index(rows)
         if len(rows) != a.shape[0]:
             raise ShapeError("scatter_add_rows", a.shape, f"{len(rows)} indices")
-        if len(rows) and (rows.idx.min() < 0 or rows.idx.max() >= num_rows):
-            raise ShapeError("scatter_add_rows", f"{num_rows} rows", f"index max {rows.idx.max()}")
-        idx = rows.idx
+        if len(rows) and (rows.min() < 0 or rows.max() >= num_rows):
+            raise ShapeError("scatter_add_rows", f"{num_rows} rows", f"index max {rows.max()}")
 
         def bwd(g):
-            a._add_grad(g.take(idx, axis=0), fresh=True)
+            a._add_grad(g.take(rows, axis=0), fresh=True)
 
         return self._emit("scatter_add_rows", _scatter_add(num_rows, rows, a.data), bwd)
 
@@ -582,15 +532,15 @@ class Tape:
         zd, rd = z.data, rhat.data
         out = plan.run(zd, rd)
         if exclude is not None:
-            src, rel, tgt = map(_as_rows, exclude)
+            src, rel, tgt = map(_as_index, exclude)
             if not len(src) == len(rel) == len(tgt):
                 raise ShapeError("relational_aggregate exclude", len(src), len(rel), len(tgt))
-            z_ex, r_ex = zd.take(src.idx, axis=0), rd.take(rel.idx, axis=0)
+            z_ex, r_ex = zd.take(src, axis=0), rd.take(rel, axis=0)
             out -= _scatter_add(plan.num_keys, tgt, z_ex * r_ex)
 
         def bwd(g):
             if exclude is not None:
-                g_ex = -g.take(tgt.idx, axis=0)
+                g_ex = -g.take(tgt, axis=0)
                 z._add_grad(_scatter_add(plan.num_a, src, g_ex * r_ex), fresh=True)
                 rhat._add_grad(_scatter_add(plan.num_b, rel, g_ex * z_ex), fresh=True)
             z._add_grad(graph.by_source.run(g, rd), fresh=True)

@@ -366,7 +366,13 @@ def cmd_diagnose(args) -> int:
         return 0
 
     if args.subcommand == "scaling":
-        sizes = [int(s) for s in args.sizes.split(",")]
+        try:
+            sizes = [int(s) for s in args.sizes.split(",")]
+        except ValueError:
+            sizes = []
+        if len(sizes) < 2 or min(sizes) < 2:
+            raise UserError(f"--sizes expects two or more comma-separated entity counts of at least 2, "
+                            f"got {args.sizes!r}")
         times = scaling_measurements(sizes, dim=args.dim, reps=args.reps, seed=args.seed)
         r2 = linear_fit_r2(sizes, times)
         for n, t in zip(sizes, times):

@@ -16,11 +16,11 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import ProductSumPlan, RowIndex
+from .autodiff import ProductSumPlan
 
 
 class ParseError(Exception):
-    """A triplet line did not have exactly three tab-separated fields."""
+    """A triplet file is not UTF-8, or a line did not have exactly three tab-separated fields."""
 
 
 class VocabularyError(Exception):
@@ -170,7 +170,12 @@ def load_triplets(
     entity_vocab = Vocabulary() if entity_vocab is None else entity_vocab
     relation_vocab = Vocabulary() if relation_vocab is None else relation_vocab
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:  # decoded in one piece: exc.object is the whole file
+            read = exc.object[:exc.start]  # line ends as text mode reads them: \n, \r\n or \r
+            lineno = read.count(b"\n") + read.count(b"\r") - read.count(b"\r\n") + 1
+            raise ParseError(f"{path}:{lineno}: not valid UTF-8") from None
     lines = text.split("\n")
     if _plain(text):
         kept = lines if lines[-1] else lines[:-1]
@@ -204,31 +209,30 @@ def inverse_relation(relation: int, num_base_relations: int) -> int:
 
 
 class KnowledgeGraph:
-    """Immutable multi-relational multigraph with a CSR incoming-edge index.
+    """Immutable multi-relational multigraph stored as one sorted edge index.
 
     Duplicate triplets are preserved: message aggregation sums over fact
-    instances, so deduplication would change the sums. The incoming index
-    is sorted by (target, relation, source) which makes iteration order,
-    and therefore every floating-point reduction, deterministic.
+    instances, so deduplication would change the sums. ``in_src``,
+    ``in_rel`` and ``in_tgt`` are read-only int64 columns sorted by
+    (target, relation, source), ties in input order, which makes iteration
+    order, and therefore every floating-point reduction, deterministic.
+    ``row_ptr`` delimits each target's incoming facts.
     """
 
     def __init__(self, heads, relations, tails, num_entities, num_base_relations, num_relations):
         self.num_entities = int(num_entities)
         self.num_base_relations = int(num_base_relations)
         self.num_relations = int(num_relations)
-        self.heads = heads
-        self.relations = relations
-        self.tails = tails
-        # One stable sort of the (tail, relation, head) key: the lexicographic order, ties kept.
-        key = (tails * self.num_relations + relations) * self.num_entities + heads
+        # One stable sort of the packed key: the (tail, relation, head) lexicographic order, ties kept.
+        key = self._pack(heads, relations, tails)
         order = np.argsort(key, kind="stable")
-        self.in_src = RowIndex(heads[order])
-        self.in_rel = RowIndex(relations[order])
-        self.in_tgt = RowIndex(tails[order])
-        self.row_ptr = np.searchsorted(self.in_tgt.idx, np.arange(self.num_entities + 1), side="left")
-        for arr in (self.heads, self.relations, self.tails, self.row_ptr):
+        self._key = key[order]
+        self.in_src = heads[order]
+        self.in_rel = relations[order]
+        self.in_tgt = tails[order]
+        self.row_ptr = np.searchsorted(self.in_tgt, np.arange(self.num_entities + 1), side="left")
+        for arr in (self._key, self.in_src, self.in_rel, self.in_tgt, self.row_ptr):
             arr.flags.writeable = False
-        self._edge_positions = None
 
     # Product-sum plans over the facts, built on first use: message aggregation
     # runs ``by_target``; its adjoints run ``by_source`` and ``by_relation``.
@@ -236,57 +240,65 @@ class KnowledgeGraph:
     @cached_property
     def by_target(self) -> ProductSumPlan:
         """``out[t] += a[s] * b[r]`` over facts r(s, t)."""
-        return ProductSumPlan(self.in_tgt.idx, self.num_entities, self.in_src.idx, self.num_entities,
-                              self.in_rel.idx, self.num_relations)
+        return ProductSumPlan(self.in_tgt, self.num_entities, self.in_src, self.num_entities,
+                              self.in_rel, self.num_relations)
 
     @cached_property
     def by_source(self) -> ProductSumPlan:
         """``out[s] += a[t] * b[r]`` over facts r(s, t)."""
-        return ProductSumPlan(self.in_src.idx, self.num_entities, self.in_tgt.idx, self.num_entities,
-                              self.in_rel.idx, self.num_relations)
+        return ProductSumPlan(self.in_src, self.num_entities, self.in_tgt, self.num_entities,
+                              self.in_rel, self.num_relations)
 
     @cached_property
     def by_relation(self) -> ProductSumPlan:
         """``out[r] += a[t] * b[s]`` over facts r(s, t)."""
-        return ProductSumPlan(self.in_rel.idx, self.num_relations, self.in_tgt.idx, self.num_entities,
-                              self.in_src.idx, self.num_entities)
+        return ProductSumPlan(self.in_rel, self.num_relations, self.in_tgt, self.num_entities,
+                              self.in_src, self.num_entities)
 
     @property
     def num_edges(self) -> int:
-        return int(self.heads.shape[0])
+        return int(self.in_src.shape[0])
 
     @property
     def edges(self) -> list[Triplet]:
-        return [Triplet(int(h), int(r), int(t)) for h, r, t in zip(self.heads, self.relations, self.tails)]
+        """Every fact, in index order."""
+        return list(map(Triplet, self.in_src.tolist(), self.in_rel.tolist(), self.in_tgt.tolist()))
 
     def incoming(self, entity: int) -> list[tuple[int, int]]:
         """(source, relation) pairs of facts relation(source, entity), sorted by (relation, source)."""
         lo, hi = self.row_ptr[entity], self.row_ptr[entity + 1]
-        return list(zip(self.in_src.idx[lo:hi].tolist(), self.in_rel.idx[lo:hi].tolist()))
+        return list(zip(self.in_src[lo:hi].tolist(), self.in_rel[lo:hi].tolist()))
 
-    def _positions(self) -> dict:
-        if self._edge_positions is None:
-            positions: dict[tuple, list] = {}
-            src, rel, tgt = self.in_src.idx, self.in_rel.idx, self.in_tgt.idx
-            for pos in range(src.shape[0]):
-                positions.setdefault((int(src[pos]), int(rel[pos]), int(tgt[pos])), []).append(pos)
-            self._edge_positions = positions
-        return self._edge_positions
+    def _pack(self, heads, relations, tails):
+        """The sort key of facts relation(head, tail): (tail, relation, head) packed into one integer."""
+        return (tails * self.num_relations + relations) * self.num_entities + heads
+
+    def _key_of(self, head: int, relation: int, tail: int) -> int:
+        """``_pack`` of one fact; -1, below every key, for out-of-range ids.
+
+        Packed, out-of-range ids could alias another fact's key.
+        """
+        n = self.num_entities
+        if 0 <= head < n and 0 <= tail < n and 0 <= relation < self.num_relations:
+            return self._pack(head, relation, tail)
+        return -1
 
     def excluded_edge_endpoints(self, head: int, relation: int, tail: int):
         """(sources, relations, targets) of every copy of a fact and its inverse.
 
         Used to drop a training query's own edge from message passing, which
         subtracts just these few contributions after aggregating everything.
-        Returns None when neither direction is present in the graph.
+        The fact's copies come first, then its inverse's, each in index
+        order. Returns None when neither direction is present in the graph.
         """
-        positions = list(self._positions().get((head, relation, tail), ()))
-        inv = inverse_relation(relation, self.num_base_relations)
-        positions += self._positions().get((tail, inv, head), ())
-        if not positions:
+        key = self._key_of(head, relation, tail)
+        inv = self._key_of(tail, inverse_relation(relation, self.num_base_relations), head)
+        # integer keys: the copies of key k end where key k + 1 would start
+        lo, hi, inv_lo, inv_hi = np.searchsorted(self._key, [key, key + 1, inv, inv + 1]).tolist()
+        if lo == hi and inv_lo == inv_hi:
             return None
-        pos = np.asarray(positions, dtype=np.int64)
-        return self.in_src.idx[pos], self.in_rel.idx[pos], self.in_tgt.idx[pos]
+        pos = np.array([*range(lo, hi), *range(inv_lo, inv_hi)], dtype=np.int64)
+        return self.in_src[pos], self.in_rel[pos], self.in_tgt[pos]
 
 
 def _rows(triplets) -> np.ndarray:

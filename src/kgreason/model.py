@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Parameter, RowIndex, Tape, Tensor
+from .autodiff import Parameter, Tape, Tensor
 from .data import KnowledgeGraph, Query
 
 MLP_DEPTH = 3          # linear layers in each message-passing round's update network
@@ -239,7 +239,7 @@ class ModelParams:
 def relation_transform(tape: Tape, relations: Parameter, rq: int, net: RmpnnParams) -> Tensor:
     """Per-relation message vectors r_hat[r] = R[rq] @ W_r + b_r, as an (R, d) block."""
     num_rel, d = net.rel_b.shape
-    rq_row = tape.gather_rows(relations, RowIndex([rq]))
+    rq_row = tape.gather_rows(relations, [rq])
     return tape.add(tape.reshape(tape.matmul(rq_row, net.rel_w), (num_rel, d)), net.rel_b)
 
 
@@ -256,7 +256,7 @@ def rmpnn_forward(tape: Tape, graph: KnowledgeGraph, x: Tensor, rq: int,
     copies that every round leaves out of its aggregate (used to drop a
     training query's own edge without touching the full edge list).
     """
-    z = tape.linear(tape.concat_columns(x, tape.tensor(init_extra)), net.proj_w, net.proj_b)
+    z = tape.mlp(tape.concat_columns(x, tape.tensor(init_extra)), [net.proj_w], [net.proj_b])
     rhat = relation_transform(tape, relations, rq, net)
     for rnd in net.rounds:
         agg = tape.relational_aggregate(z, rhat, graph, exclude)
@@ -268,8 +268,8 @@ def rmpnn_forward(tape: Tape, graph: KnowledgeGraph, x: Tensor, rq: int,
 
 
 def _projected_qk(tape: Tape, ztilde: Tensor, head: AttentionHeadParams):
-    q = tape.row_l2_normalize(tape.linear(ztilde, head.w1, head.b1), NORM_EPS)
-    k = tape.row_l2_normalize(tape.linear(ztilde, head.w2, head.b2), NORM_EPS)
+    q = tape.row_l2_normalize(tape.mlp(ztilde, [head.w1], [head.b1]), NORM_EPS)
+    k = tape.row_l2_normalize(tape.mlp(ztilde, [head.w2], [head.b2]), NORM_EPS)
     return q, k
 
 
@@ -353,11 +353,9 @@ def dense_attention_oracle(ztilde: np.ndarray, zhat: np.ndarray, head: Attention
 class ForwardState:
     """Intermediate matrices captured for diagnostics (numpy copies)."""
 
-    noise: np.ndarray = None
     x: list = field(default_factory=list)                # X^(0..L)
     query_reprs: list = field(default_factory=list)      # one per layer
     value_reprs: list = field(default_factory=list)
-    attended: list = field(default_factory=list)
 
 
 def make_noise(config: ModelConfig, num_entities: int,
@@ -451,7 +449,6 @@ def transformer_layer(tape: Tape, graph: KnowledgeGraph, x: Tensor, query: Query
     if state is not None:
         state.query_reprs.append(ztilde.data.copy())
         state.value_reprs.append(zhat.data.copy())
-        state.attended.append(zbar.data.copy())
         state.x.append(out.data.copy())
     return out
 
@@ -472,12 +469,9 @@ def forward(tape: Tape, graph: KnowledgeGraph, query: Query, params: ModelParams
     exclude = None
     if exclude_query_edge:
         exclude = graph.excluded_edge_endpoints(query.head, query.relation, query.gold_tail)
-        if exclude is not None:  # index once per query; every round reuses the scatter plans
-            exclude = tuple(map(RowIndex, exclude))
     indicator = head_indicator(config, n, query.head)
     x = tape.tensor(np.zeros((n, config.hidden_dim), dtype=config.dtype))
     if state is not None:
-        state.noise = noise.copy()
         state.x.append(x.data.copy())
     for layer in params.layers:
         x = transformer_layer(tape, graph, x, query, params.relations, layer, config, noise,

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Parameter, RowIndex, Tape, Tensor
+from .autodiff import Parameter, Tape, Tensor
 from .data import DatasetSplit, KnowledgeGraph, Vocabulary, build_graph, make_queries, query_filters
 from .evaluation import evaluate
 from .model import (
@@ -85,10 +85,10 @@ def negative_sampling_loss(tape: Tape, scores: Tensor, gold: int, negatives: np.
     """
     dt = scores.data.dtype
     clamped = tape.clip(scores, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
-    pos = tape.gather_rows(clamped, RowIndex([gold]))
+    pos = tape.gather_rows(clamped, [gold])
     loss = tape.scale(tape.log(pos), -1.0)
     if len(negatives):
-        neg = tape.gather_rows(clamped, RowIndex(negatives))
+        neg = tape.gather_rows(clamped, negatives)
         one_minus = tape.add(tape.scale(neg, -1.0), tape.tensor(np.ones((1, 1), dtype=dt)))
         loss = tape.add(loss, tape.scale(tape.sum(tape.log(one_minus)), -1.0))
     return loss
@@ -401,7 +401,10 @@ def _param_norms(params: ModelParams, worst: int = 5) -> str:
 
 
 def check_train_settings(dataset: DatasetSplit, train_config: TrainConfig) -> None:
-    """Refuse training settings the dataset cannot support (``train`` runs this first)."""
+    """Refuse training settings the loop or the dataset cannot support (``train`` runs this first)."""
+    for key, least in (("batch_size", 1), ("eval_interval", 1), ("num_negatives", 0)):
+        if getattr(train_config, key) < least:
+            raise ConfigError(f"training.{key} must be >= {least}, got {getattr(train_config, key)}")
     num_entities = len(dataset.entity_vocab)   # the training graph's entities
     if train_config.num_negatives >= num_entities:
         raise ConfigError(f"training.num_negatives = {train_config.num_negatives} needs more entities: "

@@ -74,10 +74,10 @@ def wl_refine(graph: KnowledgeGraph, rounds: Optional[int] = None) -> Coloring:
     """Classic 1-WL on the simple undirected view (relations ignored)."""
     n = graph.num_entities
     adjacency = [set() for _ in range(n)]
-    for h, _, t in zip(graph.heads, graph.relations, graph.tails):
+    for h, t in zip(graph.in_src.tolist(), graph.in_tgt.tolist()):
         if h != t:
-            adjacency[h].add(int(t))
-            adjacency[t].add(int(h))
+            adjacency[h].add(t)
+            adjacency[t].add(h)
     neighborhoods = [[(w, 0) for w in sorted(adj)] for adj in adjacency]
     colors, rounds_run, stable = _refine([0] * n, neighborhoods, rounds or n)
     return Coloring(colors, rounds_run, stable)
@@ -89,9 +89,8 @@ def rawl2_refine(graph: KnowledgeGraph, head: int, rounds: Optional[int] = None)
     if not 0 <= head < n:
         raise ValueError(f"head {head} out of range for {n} entities")
     neighborhoods = [[] for _ in range(n)]
-    src, rel, tgt = graph.in_src.idx, graph.in_rel.idx, graph.in_tgt.idx
-    for i in range(len(src)):
-        neighborhoods[tgt[i]].append((int(src[i]), int(rel[i])))
+    for s, r, t in zip(graph.in_src.tolist(), graph.in_rel.tolist(), graph.in_tgt.tolist()):
+        neighborhoods[t].append((s, r))
     init = [1 if u == head else 0 for u in range(n)]
     colors, rounds_run, stable = _refine(init, neighborhoods, rounds or n)
     return PairColoring(colors, rounds_run, stable, head=head)

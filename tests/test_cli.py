@@ -180,6 +180,26 @@ class TestTrainCommand:
         assert main(["train", "--config", str(toy_config)]) == 2
         assert capsys.readouterr().err.splitlines()[-1] == "error: " + message.format(path=path)
 
+    @pytest.mark.parametrize("command", ["train", "wl"])
+    def test_non_utf8_data_exits_2(self, toy_config, toy_data, tmp_path, command, capsys):
+        path = toy_data / "train.txt"
+        path.write_bytes(path.read_bytes() + b"\xffa\tr0\tb\n")
+        argv = (["train", "--config", str(toy_config)] if command == "train"
+                else ["diagnose", "wl", "--data", str(toy_data), "--head", "a"])
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {path}:7: not valid UTF-8"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("item, message", [
+        ("training.batch_size=0", "training.batch_size must be >= 1, got 0"),
+        ("training.eval_interval=0", "training.eval_interval must be >= 1, got 0"),
+        ("training.num_negatives=-1", "training.num_negatives must be >= 0, got -1"),
+    ])
+    def test_loop_breaking_training_value_exits_2(self, toy_config, tmp_path, item, message, capsys):
+        assert main(["train", "--config", str(toy_config), "--set", item]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: " + message
+        assert not (tmp_path / "run").exists()  # refused before resolved.cfg or metrics.jsonl
+
     def test_out_of_grid_warns_but_runs(self, toy_config, capsys):
         rc = main(["train", "--config", str(toy_config), "--set", "model.hidden_dim=8",
                    "--set", "training.epochs=1"])
@@ -403,6 +423,11 @@ class TestDiagnoseCommands:
         out = capsys.readouterr().out
         assert "linear fit R^2" in out
         assert rc in (0, 1)  # tiny sizes may be noisy; format is what matters here
+
+    @pytest.mark.parametrize("sizes", ["100,abc", "200", "1,200", "0,200", ""])
+    def test_scaling_bad_sizes_exit_2(self, sizes, capsys):
+        assert main(["diagnose", "scaling", "--sizes", sizes, "--dim", "8", "--reps", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: --sizes expects")
 
     def test_attention_top_entities(self, toy_config, toy_data, tmp_path, capsys):
         out = tmp_path / "att"

@@ -110,6 +110,14 @@ class TestLoadTriplets:
         with pytest.raises(ParseError, match=":2:"):
             load_triplets(str(f))
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_invalid_utf8_reports_lineno(self, tmp_path, end):
+        f = tmp_path / "t.txt"
+        f.write_bytes(f"a\tr\tb{end}# note{end}".encode() + b"c\tr\t\xffd" + end.encode())
+        with pytest.raises(ParseError) as exc:
+            load_triplets(str(f))
+        assert str(exc.value) == f"{f}:3: not valid UTF-8"
+
     def test_fixed_vocab_rejects_unknown(self, tmp_path):
         f = tmp_path / "t.txt"
         write_lines(f, ["a\tr\tz"])
@@ -242,7 +250,7 @@ class TestBuildGraph:
                 np.searchsorted(tails[order], np.arange(n + 1), side="left"))
         for triplets in (arr, [Triplet(*row) for row in arr.tolist()]):
             g = build_graph(triplets, n, r, add_inverse=True)
-            got = (g.in_src.idx, g.in_rel.idx, g.in_tgt.idx, g.row_ptr)
+            got = (g.in_src, g.in_rel, g.in_tgt, g.row_ptr)
             assert [a.tobytes() for a in got] == [w.tobytes() for w in want]
 
     def test_edges_index_roundtrip_lossless(self):
@@ -256,8 +264,9 @@ class TestBuildGraph:
 
     def test_immutable_arrays(self):
         g = build_graph([Triplet(0, 0, 1)], 2, 1)
-        with pytest.raises(ValueError):
-            g.heads[0] = 5
+        for arr in (g.in_src, g.in_rel, g.in_tgt, g.row_ptr):
+            with pytest.raises(ValueError):
+                arr[0] = 5
 
     def test_excluded_edge_endpoints(self):
         trips = [Triplet(0, 0, 1), Triplet(1, 0, 2), Triplet(0, 0, 1)]
@@ -267,6 +276,34 @@ class TestBuildGraph:
         assert sorted(zip(src.tolist(), rel.tolist(), tgt.tolist())) == [
             (0, 0, 1), (0, 0, 1), (1, 1, 0), (1, 1, 0)]
         assert g.excluded_edge_endpoints(2, 0, 0) is None
+        # without inverses, (1, r0, 0)'s inverse relation id 2 is out of range; packed into the
+        # sort key it would alias the stored fact (0, r0, 2)
+        g = build_graph([Triplet(0, 0, 2)], 3, 2, add_inverse=False)
+        assert g.excluded_edge_endpoints(1, 0, 0) is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_excluded_edge_endpoints_match_index_scan(self, seed):
+        # duplicates and self-loops; queries in both directions, present or not
+        rng = np.random.default_rng(seed)
+        n, r = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        trips = [Triplet(int(rng.integers(n)), int(rng.integers(r)), int(rng.integers(n)))
+                 for _ in range(int(rng.integers(0, 30)))]
+        trips += [Triplet(h, rel, h) for h in range(0, n, 2) for rel in range(r)]  # self-loops
+        g = build_graph(trips + trips[:5], n, r, add_inverse=True)   # duplicate copies
+        src, rel, tgt = g.in_src, g.in_rel, g.in_tgt
+        for h in range(n):
+            for q in range(2 * r):
+                for t in range(n):
+                    inv = q + r if q < r else q - r
+                    pos = np.concatenate([np.flatnonzero((src == h) & (rel == q) & (tgt == t)),
+                                          np.flatnonzero((src == t) & (rel == inv) & (tgt == h))])
+                    got = g.excluded_edge_endpoints(h, q, t)
+                    if not len(pos):
+                        assert got is None
+                        continue
+                    want = (src[pos], rel[pos], tgt[pos])
+                    assert [a.dtype for a in got] == [np.int64] * 3
+                    assert [a.tobytes() for a in got] == [w.tobytes() for w in want]
 
 
 class TestFilterSets:

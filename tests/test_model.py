@@ -410,6 +410,9 @@ class TestForward:
         assert sum(counts.values()) == len(tape) == 120
         assert counts["relational_aggregate"] == 8  # 2 layers x (query, value) net x 2 rounds
         assert counts["layer_norm"] == 4 and counts["sigmoid"] == 1
+        # one-layer projections are mlp nodes too: per layer, the two networks' input
+        # projections and 4 update rounds, q, k and the FFN; then the scorer
+        assert counts["mlp"] == 2 * (2 + 4 + 2 + 1) + 1 and "linear" not in counts
 
     def test_state_collection_shapes(self, rng):
         cfg, params = make_model(num_relations=4, seed=25, attention_layers=2)
