@@ -84,14 +84,16 @@ class Parameter(Tensor):
     The accumulator survives across tapes: successive backward passes add
     into it, which is what per-query gradient accumulation within a batch
     relies on. The optimizer (or ``zero_grad``) resets it between steps.
+    With ``grad=False`` there is no accumulator (``grad`` is ``None``), for
+    parameters that are only read.
     """
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str, data, dtype=None):
+    def __init__(self, name: str, data, dtype=None, grad: bool = True):
         super().__init__(data, dtype)
         self.name = name
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros_like(self.data) if grad else None
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0

@@ -198,16 +198,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _restore_for_inference(checkpoint_path: str, data_dir: str):
-    """Load a checkpoint and re-parse the dataset under its fixed vocabularies."""
-    ck = load_checkpoint(checkpoint_path)
-    dataset = _load_dataset(data_dir, entity_vocab=Vocabulary(ck.entity_tokens, frozen=True),
+def _restore_for_inference(args):
+    """The parameters of ``args.checkpoint`` and ``args.data`` parsed under its fixed vocabularies.
+
+    A negative ``--noise-seed`` is refused first.
+    """
+    if args.noise_seed < 0:
+        raise UserError(f"--noise-seed must be >= 0, got {args.noise_seed}")
+    ck = load_checkpoint(args.checkpoint, moments=False)
+    dataset = _load_dataset(args.data, entity_vocab=Vocabulary(ck.entity_tokens, frozen=True),
                             relation_vocab=Vocabulary(ck.relation_tokens, frozen=True))
     return ck, dataset
 
 
 def cmd_eval(args) -> int:
-    ck, dataset = _restore_for_inference(args.checkpoint, args.data)
+    ck, dataset = _restore_for_inference(args)
     graph, entity_vocab = split_graph(dataset, args.split)
     [queries] = split_queries(dataset, args.split)
     t0 = time.perf_counter()
@@ -243,7 +248,7 @@ def cmd_grid(args) -> int:
 
 def _inference_query(args):
     """Checkpoint, training graph, vocabulary and the (head, relation) query of ``args``."""
-    ck, dataset = _restore_for_inference(args.checkpoint, args.data)
+    ck, dataset = _restore_for_inference(args)
     graph, entity_vocab = split_graph(dataset, "train")
     query = Query(entity_vocab.id(args.head), _relation_id(args.relation, dataset.relation_vocab),
                   0, frozenset({0}))

@@ -15,7 +15,7 @@ dense path (small graphs only).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -58,6 +58,8 @@ class ModelConfig:
             raise ConfigError(f"unknown noise_mode {self.noise_mode!r}")
         if self.precision not in ("float64", "float32"):
             raise ConfigError(f"unknown precision {self.precision!r}")
+        if self.noise_seed < 0:
+            raise ConfigError(f"noise_seed must be >= 0, got {self.noise_seed}")
 
     @property
     def dtype(self):
@@ -147,11 +149,14 @@ class LayerParams:
 class ModelParams:
     """All learnable state, addressable by stable name paths.
 
-    Weights are drawn from ``rng`` in a fixed order; with ``rng=None`` they
-    are zero, a layout for a checkpoint's tensors to fill.
+    Weights are drawn from ``rng`` in a fixed order; biases start at zero and
+    gates at one. With ``source`` instead, every tensor is
+    ``source(name, shape)``, used as it is (a restored checkpoint's arrays),
+    and ``grads=False`` leaves the parameters without gradient buffers.
     """
 
-    def __init__(self, config: ModelConfig, num_relations: int, rng: Optional[np.random.Generator]):
+    def __init__(self, config: ModelConfig, num_relations: int, rng: Optional[np.random.Generator] = None,
+                 *, source: Optional[Callable[[str, tuple], np.ndarray]] = None, grads: bool = True):
         config.validate()
         d = config.hidden_dim
         dt = config.dtype
@@ -159,16 +164,23 @@ class ModelParams:
         self.num_relations = num_relations
         self.config = config
 
+        def tensor(name, rows, cols, fill):
+            if source is not None:
+                data = source(name, (rows, cols))
+            elif fill is None:
+                data = rng.normal(0.0, std, size=(rows, cols)).astype(dt)
+            else:
+                data = np.full((rows, cols), fill, dtype=dt)
+            return Parameter(name, data, grad=grads)
+
         def weight(name, rows, cols):
-            if rng is None:
-                return zeros(name, rows, cols)
-            return Parameter(name, rng.normal(0.0, std, size=(rows, cols)).astype(dt))
+            return tensor(name, rows, cols, None)
 
         def zeros(name, rows, cols):
-            return Parameter(name, np.zeros((rows, cols), dtype=dt))
+            return tensor(name, rows, cols, 0.0)
 
         def ones(name, rows, cols):
-            return Parameter(name, np.ones((rows, cols), dtype=dt))
+            return tensor(name, rows, cols, 1.0)
 
         def mlp(prefix, dims):
             ws = [weight(f"{prefix}.w{i}", dims[i], dims[i + 1]) for i in range(len(dims) - 1)]

@@ -95,12 +95,21 @@ def negative_sampling_loss(tape: Tape, scores: Tensor, gold: int, negatives: np.
 
 
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moment accumulators plus the shared step counter.
 
-    def __init__(self, params: Sequence[Parameter]):
-        self.m = {p.name: np.zeros_like(p.data) for p in params}
-        self.v = {p.name: np.zeros_like(p.data) for p in params}
-        self.step = 0
+    ``m`` and ``v`` hold moments to continue from, by parameter name; a
+    parameter without one starts at zero.
+    """
+
+    def __init__(self, params: Sequence[Parameter], m: Optional[dict] = None, v: Optional[dict] = None,
+                 step: int = 0):
+        def moments(given):
+            given = given or {}
+            return {p.name: given[p.name] if p.name in given else np.zeros_like(p.data) for p in params}
+
+        self.m = moments(m)
+        self.v = moments(v)
+        self.step = step
 
 
 def adam_step(params: Sequence[Parameter], state: AdamState, config: TrainConfig) -> None:
@@ -172,7 +181,7 @@ class Checkpoint:
     model_config: ModelConfig
     train_config: TrainConfig
     params: ModelParams
-    adam: AdamState
+    adam: Optional[AdamState]      # None when loaded without the moments
     entity_tokens: list
     relation_tokens: list
     rng_states: dict
@@ -185,25 +194,26 @@ def save_checkpoint(path: str, params: ModelParams, adam: AdamState,
                     rng_states: dict, training_state: dict) -> None:
     """Write the documented binary container: magic, JSON header, raw payload.
 
-    Tensors are serialized little-endian in parameter order; the header is
-    canonical JSON (sorted keys), so save -> load -> save round-trips to
-    identical bytes. The file is written beside ``path`` and renamed over
-    it, so a save that fails partway leaves the previous file intact.
+    Tensors are serialized little-endian in parameter order, the parameters
+    first, then the two Adam moments; each is written straight from its
+    array. The header is canonical JSON (sorted keys), so save -> load ->
+    save round-trips to identical bytes. The file is written beside ``path``
+    and renamed over it, so a save that fails partway leaves the previous
+    file intact.
     """
     tensors = []
-    blobs = []
+    arrays = []
     offset = 0
 
     def push(name, role, arr):
         nonlocal offset
-        raw = np.ascontiguousarray(arr, dtype=arr.dtype).astype(
-            "<f8" if arr.dtype == np.float64 else "<f4").tobytes()
+        wire = np.ascontiguousarray(arr).astype("<f8" if arr.dtype == np.float64 else "<f4", copy=False)
         tensors.append({
             "name": name, "role": role, "shape": list(arr.shape),
-            "dtype": str(arr.dtype), "offset": offset, "nbytes": len(raw),
+            "dtype": str(arr.dtype), "offset": offset, "nbytes": wire.nbytes,
         })
-        blobs.append(raw)
-        offset += len(raw)
+        arrays.append(wire)
+        offset += wire.nbytes
 
     for p in params.parameters():
         push(p.name, "param", p.data)
@@ -232,8 +242,8 @@ def save_checkpoint(path: str, params: ModelParams, adam: AdamState,
             fh.write(_MAGIC)
             fh.write(len(head).to_bytes(8, "little"))
             fh.write(head)
-            for raw in blobs:
-                fh.write(raw)
+            for wire in arrays:
+                fh.write(wire)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -254,15 +264,15 @@ def _header_settings(path: str, header: dict, key: str, cls):
     return cls(**fields)
 
 
-def load_checkpoint(path: str) -> Checkpoint:
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(len(_MAGIC))
-            head_len = int.from_bytes(fh.read(8), "little")
-            head = fh.read(head_len)
-            payload = fh.read()
-    except OSError as exc:
-        raise CheckpointError(f"{path}: cannot read checkpoint: {exc.strerror}") from None
+def _read_header(path: str, fh) -> dict:
+    """The checked JSON header of an open checkpoint, leaving ``fh`` at the payload.
+
+    The payload must be exactly as long as the header's tensors, which the
+    file's size shows without reading it.
+    """
+    magic = fh.read(len(_MAGIC))
+    head_len = int.from_bytes(fh.read(8), "little")
+    head = fh.read(head_len)
     if magic != _MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
     if len(head) != head_len:
@@ -283,36 +293,70 @@ def load_checkpoint(path: str) -> Checkpoint:
     if header["config_digest"] != _config_digest(header["model_config"], header["train_config"]):
         raise CheckpointError(f"{path}: config_digest does not match the header's "
                               "model_config and train_config")
-    if sum(entry["nbytes"] for entry in header["tensors"]) != len(payload):
+    total = sum(entry["nbytes"] for entry in header["tensors"])
+    if os.fstat(fh.fileno()).st_size - fh.tell() != total:
         raise CheckpointError(f"{path}: truncated checkpoint: payload size differs from the header's")
-    model_config = _header_settings(path, header, "model_config", ModelConfig)
-    train_config = _header_settings(path, header, "train_config", TrainConfig)
-    params = ModelParams(model_config, header["num_relations"], None)
-    adam = AdamState(params.parameters())
-    adam.step = header["adam_step"]
-    by_name = params.by_name()
-    moments = {"adam_m": adam.m, "adam_v": adam.v}
-    loaded = set()
     for entry in header["tensors"]:
-        if entry["role"] not in ("param", *moments) or entry["dtype"] not in ("float64", "float32"):
+        if entry["role"] not in ("param", "adam_m", "adam_v") or entry["dtype"] not in ("float64", "float32"):
             raise CheckpointError(f"{path}: tensor {entry['name']!r} has role {entry['role']!r} and "
                                   f"dtype {entry['dtype']!r}; a checkpoint stores float params and moments")
-        wire = "<f8" if entry["dtype"] == "float64" else "<f4"
-        if entry["nbytes"] != math.prod(entry["shape"]) * np.dtype(wire).itemsize:
+        if entry["nbytes"] != math.prod(entry["shape"]) * np.dtype(entry["dtype"]).itemsize:
             raise CheckpointError(f"{path}: tensor {entry['name']!r} has {entry['nbytes']} bytes, "
                                   f"not the {entry['shape']} {entry['dtype']} its shape needs")
-        raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        arr = np.frombuffer(raw, dtype=wire).astype(entry["dtype"]).reshape(entry["shape"])
-        if entry["name"] not in by_name:
+        if not 0 <= entry["offset"] <= total - entry["nbytes"]:
+            raise CheckpointError(f"{path}: tensor {entry['name']!r} at offset {entry['offset']} "
+                                  "lies outside the payload")
+    return header
+
+
+_MISSING = np.empty((0, 0))  # stands in for a parameter the file lacks or misshapes, until that is reported
+
+
+def load_checkpoint(path: str, *, moments: bool = True) -> Checkpoint:
+    """Restore a checkpoint; with ``moments=False``, only what inference reads.
+
+    The payload is read into one buffer and every tensor is a writable view
+    of it, so nothing is copied on a little-endian host. ``moments=False``
+    reads the parameter section only (``save_checkpoint`` writes it first):
+    the parameters get no gradient buffers and ``adam`` is ``None``.
+    Otherwise gradients are zero buffers and ``adam`` holds the moments.
+    """
+    try:
+        with open(path, "rb") as fh:
+            header = _read_header(path, fh)
+            entries = [entry for entry in header["tensors"] if moments or entry["role"] == "param"]
+            buf = bytearray(max((entry["offset"] + entry["nbytes"] for entry in entries), default=0))
+            if fh.readinto(buf) != len(buf):
+                raise CheckpointError(f"{path}: truncated checkpoint: payload size differs from the header's")
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {exc.strerror}") from None
+    model_config = _header_settings(path, header, "model_config", ModelConfig)
+    train_config = _header_settings(path, header, "train_config", TrainConfig)
+    loaded = {"param": {}, "adam_m": {}, "adam_v": {}}
+    for entry in entries:
+        wire = "<f8" if entry["dtype"] == "float64" else "<f4"
+        arr = np.frombuffer(buf, wire, math.prod(entry["shape"]), entry["offset"])
+        loaded[entry["role"]][entry["name"]] = arr.reshape(entry["shape"]).astype(entry["dtype"], copy=False)
+    layout = {}
+
+    def take(name, shape):
+        layout[name] = shape
+        arr = loaded["param"].get(name)
+        return arr if arr is not None and arr.shape == shape else _MISSING
+
+    params = ModelParams(model_config, header["num_relations"], source=take, grads=moments)
+    for entry in header["tensors"]:
+        if entry["name"] not in layout:
             raise CheckpointError(f"{path}: checkpoint tensor {entry['name']!r} not in model layout")
-        if entry["role"] == "param":
-            by_name[entry["name"]].data = arr
-            loaded.add(entry["name"])
-        else:
-            moments[entry["role"]][entry["name"]] = arr
-    missing = set(by_name) - loaded
+        if tuple(entry["shape"]) != layout[entry["name"]]:
+            raise CheckpointError(f"{path}: tensor {entry['name']!r} has shape {entry['shape']}; "
+                                  f"the model layout needs {list(layout[entry['name']])}")
+    missing = set(layout) - set(loaded["param"])
     if missing:
         raise CheckpointError(f"{path}: checkpoint missing tensors: {sorted(missing)[:5]}")
+    adam = None
+    if moments:
+        adam = AdamState(params.parameters(), loaded["adam_m"], loaded["adam_v"], header["adam_step"])
     return Checkpoint(model_config, train_config, params, adam, header["entity_tokens"],
                       header["relation_tokens"], header["rng"], header["training_state"])
 
@@ -402,9 +446,11 @@ def _param_norms(params: ModelParams, worst: int = 5) -> str:
 
 def check_train_settings(dataset: DatasetSplit, train_config: TrainConfig) -> None:
     """Refuse training settings the loop or the dataset cannot support (``train`` runs this first)."""
-    for key, least in (("batch_size", 1), ("eval_interval", 1), ("num_negatives", 0)):
-        if getattr(train_config, key) < least:
-            raise ConfigError(f"training.{key} must be >= {least}, got {getattr(train_config, key)}")
+    for key, least in (("batch_size", 1), ("eval_interval", 1), ("num_negatives", 0), ("seed", 0),
+                       ("max_valid_queries", 0)):
+        value = getattr(train_config, key)
+        if value is not None and value < least:
+            raise ConfigError(f"training.{key} must be >= {least}, got {value}")
     num_entities = len(dataset.entity_vocab)   # the training graph's entities
     if train_config.num_negatives >= num_entities:
         raise ConfigError(f"training.num_negatives = {train_config.num_negatives} needs more entities: "

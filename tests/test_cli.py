@@ -296,6 +296,30 @@ class TestEvalPredictCommands:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {path}:2: unknown token 'zz' under fixed vocabulary\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--set", "training.seed=-1"], "training.seed must be >= 0, got -1"),
+        (["train", "--seed", "-1"], "training.seed must be >= 0, got -1"),
+        (["train", "--set", "model.noise_mode=fixed_seed", "--set", "model.noise_seed=-1"],
+         "noise_seed must be >= 0, got -1"),
+        (["train", "--set", "training.max_valid_queries=-1"], "training.max_valid_queries must be >= 0, got -1"),
+        (["eval", "--noise-seed", "-1"], "--noise-seed must be >= 0, got -1"),
+        (["predict", "--head", "a", "--relation", "r0", "--noise-seed", "-1"],
+         "--noise-seed must be >= 0, got -1"),
+        (["diagnose", "attention", "--head", "a", "--relation", "r0", "--noise-seed", "-1"],
+         "--noise-seed must be >= 0, got -1"),
+    ], ids=["train-seed", "train-seed-flag", "noise-seed", "max-valid-queries", "eval", "predict",
+            "attention"])
+    def test_negative_seed_or_count_exits_2(self, trained, toy_config, toy_data, tmp_path, argv, message,
+                                            capsys):
+        command = argv[:2] if argv[0] == "diagnose" else argv[:1]
+        source = ["--config", str(toy_config)] if argv[0] == "train" else \
+            ["--checkpoint", str(trained), "--data", str(toy_data)]
+        capsys.readouterr()  # drop the fixture's training output
+        assert main([*command, *source, *argv[len(command):]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines()[-1] == "error: " + message
+        assert not (tmp_path / "run").exists()  # a refused train writes no output directory
+
     def test_inverse_relation_token(self, trained, toy_data, capsys):
         rc = main(["predict", "--checkpoint", str(trained), "--data", str(toy_data),
                    "--head", "b", "--relation", "r0^-1", "-k", "2"])

@@ -1,11 +1,13 @@
 """Sampling, loss, optimizer, loop-determinism, split-builder and checkpoint tests."""
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import make_config, set_header
+from conftest import make_config, rewrite_header, set_header
 from kgreason.autodiff import Parameter, Tape, grad_check
 from kgreason.data import DatasetSplit, Triplet, Vocabulary
 from kgreason.model import ModelConfig, ModelParams
@@ -505,3 +507,142 @@ class TestCheckpointContainer:
         for p in params.parameters():
             np.testing.assert_array_equal(ck.params.by_name()[p.name].data, p.data)
         assert ck.entity_tokens == ["e"] and ck.model_config.hidden_dim == 16
+
+
+def buffer_owner(arr):
+    """The object whose memory ``arr`` views, past every intermediate array and memoryview."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
+def reference_save(path, params, adam, mcfg, tcfg, entity_tokens, relation_tokens, rngs, tstate):
+    """The container as first specified: each tensor's little-endian bytes joined after the header."""
+    tensors, blobs, offset = [], [], 0
+    for role in ("param", "adam_m", "adam_v"):
+        for p in params.parameters():
+            arr = p.data if role == "param" else getattr(adam, role[-1])[p.name]
+            raw = arr.astype("<f8" if arr.dtype == np.float64 else "<f4").tobytes()
+            tensors.append({"name": p.name, "role": role, "shape": list(arr.shape), "dtype": str(arr.dtype),
+                            "offset": offset, "nbytes": len(raw)})
+            blobs.append(raw)
+            offset += len(raw)
+    model, train_ = vars(mcfg).copy(), vars(tcfg).copy()
+    digest = hashlib.sha256(json.dumps({"model": model, "train": train_}, sort_keys=True).encode()).hexdigest()
+    header = {"format_version": 1, "config_digest": digest, "model_config": model, "train_config": train_,
+              "num_relations": params.num_relations, "adam_step": adam.step,
+              "entity_tokens": list(entity_tokens), "relation_tokens": list(relation_tokens),
+              "rng": rngs, "training_state": tstate, "tensors": tensors}
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    with open(path, "wb") as fh:
+        fh.write(b"KGRCKPT1" + len(head).to_bytes(8, "little") + head + b"".join(blobs))
+
+
+def trained_state(precision, num_relations=6, hidden_dim=8, seed=9):
+    """Seeded parameters and non-trivial Adam moments of a small model."""
+    mcfg = ModelConfig(hidden_dim=hidden_dim, attention_layers=2, query_layers=2, value_layers=2,
+                       precision=precision)
+    params = ModelParams(mcfg, num_relations, np.random.default_rng(seed))
+    adam = AdamState(params.parameters(), step=3)
+    fill = np.random.default_rng(seed + 1)
+    for p in params.parameters():
+        adam.m[p.name][...] = fill.standard_normal(p.data.shape)
+        adam.v[p.name][...] = fill.random(p.data.shape)
+    return mcfg, params, adam
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+class TestCheckpointIO:
+    def save(self, path, mcfg, params, adam):
+        save_checkpoint(str(path), params, adam, mcfg, TrainConfig(), ["e0", "e1"], ["r0"], {}, {"epoch": 1})
+
+    def test_save_matches_reference_writer(self, tmp_path, precision):
+        mcfg, params, adam = trained_state(precision)
+        self.save(tmp_path / "a.bin", mcfg, params, adam)
+        reference_save(tmp_path / "b.bin", params, adam, mcfg, TrainConfig(), ["e0", "e1"], ["r0"], {},
+                       {"epoch": 1})
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_inference_load_reads_parameters_as_views(self, tmp_path, precision):
+        mcfg, params, adam = trained_state(precision)
+        path = tmp_path / "c.bin"
+        self.save(path, mcfg, params, adam)
+        full = load_checkpoint(str(path))
+        lean = load_checkpoint(str(path), moments=False)
+        assert lean.adam is None and full.adam.step == 3
+        assert [p.name for p in lean.params.parameters()] == [p.name for p in params.parameters()]
+        for p, f, q in zip(params.parameters(), full.params.parameters(), lean.params.parameters()):
+            assert q.data.dtype == f.data.dtype == p.data.dtype
+            assert q.data.tobytes() == f.data.tobytes() == p.data.tobytes()
+            assert q.grad is None and f.grad.shape == f.data.shape and not f.grad.any()
+            assert full.adam.m[p.name].tobytes() == adam.m[p.name].tobytes()
+            assert full.adam.v[p.name].tobytes() == adam.v[p.name].tobytes()
+        for arrays in ([q.data for q in lean.params.parameters()],
+                       [f.data for f in full.params.parameters()]
+                       + list(full.adam.m.values()) + list(full.adam.v.values())):
+            assert len({id(buffer_owner(a)) for a in arrays}) == 1
+            assert isinstance(buffer_owner(arrays[0]), bytearray)
+            assert all(a.flags.writeable for a in arrays)
+        param_bytes = sum(p.data.nbytes for p in params.parameters())
+        assert len(buffer_owner(lean.params.relations.data)) == param_bytes
+        assert len(buffer_owner(full.params.relations.data)) == 3 * param_bytes
+
+    def test_cut_or_padded_file_refused_by_both_loads(self, tmp_path, precision):
+        mcfg, params, adam = trained_state(precision)
+        path = tmp_path / "c.bin"
+        self.save(path, mcfg, params, adam)
+        blob = path.read_bytes()
+        moments_bytes = 2 * sum(p.data.nbytes for p in params.parameters())
+        for damaged in (blob[:len(blob) - moments_bytes // 2], blob[:-4], blob + b"\0" * 4):
+            path.write_bytes(damaged)
+            for moments in (True, False):
+                with pytest.raises(CheckpointError) as err:
+                    load_checkpoint(str(path), moments=moments)
+                assert str(err.value).startswith(f"{path}: truncated checkpoint")
+
+    def test_layout_faults_refused(self, tmp_path, precision):
+        mcfg, params, adam = trained_state(precision)
+        path = tmp_path / "c.bin"
+        self.save(path, mcfg, params, adam)
+        pristine = path.read_bytes()
+        faults = {
+            "shape \\[8, 6\\]; the model layout needs \\[6, 8\\]":
+                lambda h: h["tensors"][0].update(shape=h["tensors"][0]["shape"][::-1]),
+            "shape \\[1, 6, 8\\]; the model layout needs": lambda h: h["tensors"][0].update(shape=[1, 6, 8]),
+            "lies outside the payload": lambda h: h["tensors"][-1].update(offset=h["tensors"][-1]["offset"] + 4),
+            "checkpoint missing tensors: \\['relations'\\]": lambda h: h["tensors"][0].update(role="adam_m"),
+        }
+        for message, edit in faults.items():
+            path.write_bytes(pristine)
+            rewrite_header(path, edit)
+            for moments in (True, False):
+                with pytest.raises(CheckpointError, match=message):
+                    load_checkpoint(str(path), moments=moments)
+
+    def test_checkpoint_io_memory(self, tmp_path, precision):
+        # UMLS's 92 augmented relations at d=32, so tensors outweigh the header
+        mcfg, params, adam = trained_state(precision, num_relations=92, hidden_dim=32)
+        path = tmp_path / "c.bin"
+        param_bytes = sum(p.data.nbytes for p in params.parameters())
+        largest = max(p.data.nbytes for p in params.parameters())
+        tracemalloc.start()
+        try:
+            self.save(path, mcfg, params, adam)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            head = path.read_bytes()[16:16 + int.from_bytes(path.read_bytes()[8:16], "little")]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            json.dumps(json.loads(head), sort_keys=True, separators=(",", ":")).encode()
+            header_cost = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ck = load_checkpoint(str(path), moments=False)
+            load_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # A save holds at most one tensor's bytes beside its header's objects and their
+        # encoding (json.dumps may hold one string per token); a load holds little beside
+        # the parameter section's bytes. A copy of the payload breaks either bound.
+        assert save_peak < largest + header_cost
+        assert load_peak < 1.5 * param_bytes
+        assert ck.adam is None
