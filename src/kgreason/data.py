@@ -264,11 +264,6 @@ class KnowledgeGraph:
         """Every fact, in index order."""
         return list(map(Triplet, self.in_src.tolist(), self.in_rel.tolist(), self.in_tgt.tolist()))
 
-    def incoming(self, entity: int) -> list[tuple[int, int]]:
-        """(source, relation) pairs of facts relation(source, entity), sorted by (relation, source)."""
-        lo, hi = self.row_ptr[entity], self.row_ptr[entity + 1]
-        return list(zip(self.in_src[lo:hi].tolist(), self.in_rel[lo:hi].tolist()))
-
     def _pack(self, heads, relations, tails):
         """The sort key of facts relation(head, tail): (tail, relation, head) packed into one integer."""
         return (tails * self.num_relations + relations) * self.num_entities + heads

@@ -1,4 +1,4 @@
-"""Color refinement tests: plain 1-WL, relational, and head-conditioned.
+"""Color refinement: relational and head-conditioned.
 
 These are the executable yardsticks for what the model can distinguish.
 ``rawl2_refine`` runs the pair refinement with the first argument fixed to
@@ -70,19 +70,6 @@ def _refine(init_colors, neighborhoods, max_rounds: int):
     return tuple(colors), rounds_run, stable
 
 
-def wl_refine(graph: KnowledgeGraph, rounds: Optional[int] = None) -> Coloring:
-    """Classic 1-WL on the simple undirected view (relations ignored)."""
-    n = graph.num_entities
-    adjacency = [set() for _ in range(n)]
-    for h, t in zip(graph.in_src.tolist(), graph.in_tgt.tolist()):
-        if h != t:
-            adjacency[h].add(t)
-            adjacency[t].add(h)
-    neighborhoods = [[(w, 0) for w in sorted(adj)] for adj in adjacency]
-    colors, rounds_run, stable = _refine([0] * n, neighborhoods, rounds or n)
-    return Coloring(colors, rounds_run, stable)
-
-
 def rawl2_refine(graph: KnowledgeGraph, head: int, rounds: Optional[int] = None) -> PairColoring:
     """Head-conditioned relational refinement over incoming facts."""
     n = graph.num_entities
@@ -94,52 +81,6 @@ def rawl2_refine(graph: KnowledgeGraph, head: int, rounds: Optional[int] = None)
     init = [1 if u == head else 0 for u in range(n)]
     colors, rounds_run, stable = _refine(init, neighborhoods, rounds or n)
     return PairColoring(colors, rounds_run, stable, head=head)
-
-
-@dataclass
-class ProbeReport:
-    coloring: PairColoring
-    class_score_spread: dict          # color -> max |score difference| inside the class
-    violations: list                  # same-color pairs with differing scores (should be empty)
-    warnings: list                    # distinguished pairs with equal scores (statistical only)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def expressivity_probe(graph: KnowledgeGraph, head: int, rq: int,
-                       params: ModelParams, config: ModelConfig,
-                       tolerance: float = 1e-9) -> ProbeReport:
-    """Pair refinement classes against model score classes under zero noise.
-
-    Entities that the stable refinement cannot distinguish must receive
-    equal scores for any parameter values; the converse (distinguished
-    pairs get distinct scores) holds only for generic parameters, so those
-    collisions are reported as warnings, not failures.
-    """
-    probe_config = replace(config, noise_mode="disabled")
-    coloring = rawl2_refine(graph, head)
-    tape = Tape(grad=False)
-    query = Query(head, rq, 0, frozenset({0}))
-    scores = forward(tape, graph, query, params, probe_config).data[:, 0]
-
-    spread = {}
-    violations = []
-    for color, members in coloring.classes().items():
-        vals = scores[members]
-        spread[color] = float(vals.max() - vals.min())
-        if spread[color] > tolerance:
-            worst = members[int(np.argmax(vals))], members[int(np.argmin(vals))]
-            violations.append({"color": color, "pair": worst, "spread": spread[color]})
-
-    warnings = []
-    reps = [(members[0], color) for color, members in coloring.classes().items()]
-    for i, (u, cu) in enumerate(reps):
-        for v, cv in reps[i + 1:]:
-            if abs(scores[u] - scores[v]) <= tolerance:
-                warnings.append({"pair": (u, v), "colors": (cu, cv)})
-    return ProbeReport(coloring, spread, violations, warnings)
 
 
 def value_representations(graph: KnowledgeGraph, head: int, rq: int,

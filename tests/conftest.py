@@ -46,6 +46,12 @@ def random_graph(rng, num_entities, num_base_relations, num_edges, add_inverse=T
     return build_graph(trips, num_entities, num_base_relations, add_inverse=add_inverse)
 
 
+def incoming(graph, entity: int) -> list[tuple[int, int]]:
+    """(source, relation) pairs of facts relation(source, entity), sorted by (relation, source)."""
+    lo, hi = graph.row_ptr[entity], graph.row_ptr[entity + 1]
+    return list(zip(graph.in_src[lo:hi].tolist(), graph.in_rel[lo:hi].tolist()))
+
+
 def rewrite_header(path, edit) -> None:
     """Rewrite a checkpoint's JSON header as ``edit(header)`` leaves it."""
     blob = path.read_bytes()

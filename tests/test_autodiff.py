@@ -1,6 +1,7 @@
 """Adjoint correctness and contract tests for the autodiff engine."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import pytest
 from conftest import chain_graph, random_graph
 from kgreason import data
 from kgreason.autodiff import (
+    _BUCKET_COST_ROWS,
     ContractError,
     DeterminismError,
     Parameter,
+    ProductSumPlan,
     ShapeError,
     Tape,
     grad_check,
@@ -557,3 +560,197 @@ class TestExcludedAggregate:
         with pytest.raises(ShapeError):
             t.relational_aggregate(t.tensor(np.ones((6, 3))), t.tensor(np.ones((4, 3))), graph,
                                    (src, rel[:-1], tgt))
+
+
+# --- pair tables against the direct plan ---------------------------------------
+
+
+class DirectPlan:
+    """A ProductSumPlan that multiplies every slot's operands: the oracle for the pair table.
+
+    Same segments, buckets, padding and folds, built and run as the plan was
+    before it shared products between slots.
+    """
+
+    def __init__(self, keys, num_keys, ia, num_a, ib, num_b):
+        self.num_keys, self.num_a, self.num_b = int(num_keys), int(num_a), int(num_b)
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+        order = np.argsort(keys, kind="stable")
+        ia = np.asarray(ia, dtype=np.int64).reshape(-1)[order]
+        ib = np.asarray(ib, dtype=np.int64).reshape(-1)[order]
+        lengths = np.bincount(keys, minlength=self.num_keys)
+        starts = np.cumsum(lengths) - lengths
+        live = np.flatnonzero(lengths)
+        segs = live[np.argsort(lengths[live], kind="stable")]
+        seg_len = lengths[segs]
+        length_class = np.frexp(seg_len - 1)[1]
+        cuts = [0, *(np.flatnonzero(np.diff(length_class)) + 1).tolist(), len(segs)] if len(segs) else [0]
+        best, split = [0], [0]
+        for j in range(1, len(cuts)):
+            longest = int(seg_len[cuts[j] - 1])
+            cost, i = min((best[i] + _BUCKET_COST_ROWS + longest * (cuts[j] - cuts[i]), i)
+                          for i in range(j))
+            best.append(cost)
+            split.append(i)
+        bounds, j = [], len(cuts) - 1
+        while j > 0:
+            bounds.append((cuts[split[j]], cuts[j]))
+            j = split[j]
+        self.buckets = []
+        for lo, hi in reversed(bounds):
+            k = int(seg_len[hi - 1])
+            slot = np.arange(k)[:, None]
+            valid = slot < seg_len[lo:hi]
+            pos = starts[segs[lo:hi]] + np.minimum(slot, seg_len[lo:hi] - 1)
+            pad_b = np.where(valid, ib[pos], self.num_b)
+            self.buckets.append((segs[lo:hi], ia[pos].reshape(-1), pad_b.reshape(-1), k))
+
+    def run(self, a, b):
+        d = a.shape[1]
+        out = np.zeros((self.num_keys, d), dtype=np.result_type(a, b))
+        b = np.concatenate((b, np.zeros((1, d), dtype=b.dtype)))
+        for keys, ia, ib, k in self.buckets:
+            prod = a.take(ia, axis=0)
+            prod *= b.take(ib, axis=0)
+            prod = prod.reshape(k, -1)
+            while k > 1:
+                half = k // 2
+                prod[:half] += prod[k - half:k]
+                k -= half
+            out[keys] = prod[0].reshape(-1, d)
+        return out
+
+
+PLAN_ARGS = {  # graph -> ProductSumPlan arguments, as KnowledgeGraph's plans pass them
+    "by_target": lambda g: (g.in_tgt, g.num_entities, g.in_src, g.num_entities, g.in_rel, g.num_relations),
+    "by_source": lambda g: (g.in_src, g.num_entities, g.in_tgt, g.num_entities, g.in_rel, g.num_relations),
+    "by_relation": lambda g: (g.in_rel, g.num_relations, g.in_tgt, g.num_entities, g.in_src, g.num_entities),
+}
+
+
+def dense_graph():
+    """8 entities, 2 relations, 600 facts: every (entity, relation) product fills many slots."""
+    return random_graph(np.random.default_rng(21), 8, 2, 600)
+
+
+def umls_share_graph(share=0.03, seed=0):
+    """A seeded share of UMLS's training facts, the size one epoch of the smoke workload sees."""
+    ds = load_dataset(UMLS_DIR)
+    train = np.asarray(ds.train, dtype=np.int64)
+    pick = np.sort(np.random.default_rng(seed).choice(len(train), size=round(len(train) * share),
+                                                      replace=False))
+    return build_graph(train[pick], ds.num_entities, ds.num_relations)
+
+
+def sparse_shaped_graph(seed=1):
+    """WN18RR-shaped: Zipf(0.8) endpoints over 8,000 entities, 16,800 facts over 11 skewed relations.
+
+    About 6.6k entities are touched; with inverses, 33,600 facts over 22 relations.
+    """
+    rng = np.random.default_rng(seed)
+    n, facts = 8000, 16800
+    popularity = 1.0 / np.arange(1, n + 1) ** 0.8
+    ids = rng.permutation(n)
+    rel_p = 0.5 ** np.arange(11)
+    heads = ids[rng.choice(n, size=facts, p=popularity / popularity.sum())]
+    tails = ids[rng.choice(n, size=facts, p=popularity / popularity.sum())]
+    rels = rng.choice(11, size=facts, p=rel_p / rel_p.sum())
+    return build_graph(np.stack([heads, rels, tails], axis=1), n, 11)
+
+
+PAIR_GRAPHS = {  # name -> (graph, plans that use the pair table)
+    "umls": (umls_graph, {"by_target", "by_source"}),
+    "dense": (dense_graph, {"by_target", "by_source", "by_relation"}),
+    "umls-3%": (umls_share_graph, set()),
+    "sparse-shaped": (sparse_shaped_graph, set()),
+    "isolated-duplicates": (isolated_and_duplicate_graph, set()),
+    "no-edges": (lambda: build_graph([], 4, 2), set()),
+}
+
+
+def special_values(rng, shape, dtype):
+    """Normal draws with +0, -0, +-inf and NaN planted in a tenth of the entries each."""
+    x = rng.standard_normal(shape)
+    for value in (0.0, -0.0, np.inf, -np.inf, np.nan):
+        x[rng.random(shape) < 0.1] = value
+    return x.astype(dtype)
+
+
+class TestPairTable:
+    """The pair table's products and sums are the direct plan's, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(PAIR_GRAPHS))
+    def test_table_chosen_by_reuse(self, name):
+        build, paired = PAIR_GRAPHS[name]
+        graph = build()
+        assert {p for p in PLAN_ARGS if getattr(graph, p).pairs is not None} == paired
+
+    @pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float64),
+                                        (np.float32, np.float64), (np.float64, np.float32)])
+    @pytest.mark.parametrize("specials", [False, True])
+    @pytest.mark.parametrize("name", ["umls", "dense", "umls-3%", "isolated-duplicates"])
+    def test_run_bit_equal_to_direct(self, name, specials, dtypes):
+        graph = PAIR_GRAPHS[name][0]()
+        rng = np.random.default_rng(5)
+        draw = special_values if specials else lambda r, shape, dt: r.standard_normal(shape).astype(dt)
+        for plan_name, args in PLAN_ARGS.items():
+            plan = getattr(graph, plan_name)
+            a = draw(rng, (plan.num_a, 7), dtypes[0])
+            b = draw(rng, (plan.num_b, 7), dtypes[1])
+            with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf
+                got, want = plan.run(a, b), DirectPlan(*args(graph)).run(a, b)
+            assert got.dtype == want.dtype and bits(got) == bits(want), plan_name
+
+    def test_sparse_shaped_run_bit_equal_to_direct(self):
+        graph = sparse_shaped_graph()
+        rng = np.random.default_rng(6)
+        for plan_name in ("by_target", "by_source"):
+            plan = getattr(graph, plan_name)
+            a = special_values(rng, (plan.num_a, 4), np.float32)
+            b = special_values(rng, (plan.num_b, 4), np.float32)
+            with np.errstate(invalid="ignore"):
+                got, want = plan.run(a, b), DirectPlan(*PLAN_ARGS[plan_name](graph)).run(a, b)
+            assert bits(got) == bits(want), plan_name
+
+    def test_run_rejects_operands_off_the_plan(self):
+        # the table gathers without bounds checks, so run checks the operands' shapes
+        plan = dense_graph().by_target
+        assert plan.pairs is not None
+        a, b = np.ones((plan.num_a, 3)), np.ones((plan.num_b, 3))
+        for bad in [(a[:-1], b), (a, b[:-1]), (a, b[:, :2])]:
+            with pytest.raises(ShapeError, match="ProductSumPlan.run"):
+                plan.run(*bad)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_aggregate_and_adjoints_bit_equal_on_umls(self, dtype):
+        graph = umls_graph()
+        rng = np.random.default_rng(8)
+        z = Parameter("z", rng.standard_normal((graph.num_entities, 32)).astype(dtype))
+        rhat = Parameter("rhat", rng.standard_normal((graph.num_relations, 32)).astype(dtype))
+        g = rng.standard_normal((graph.num_entities, 32)).astype(dtype)
+        t = Tape()
+        out = t.relational_aggregate(z, rhat, graph)
+        t.backward(t.sum(t.mul(out, t.tensor(g))))
+        direct = {name: DirectPlan(*args(graph)) for name, args in PLAN_ARGS.items()}
+        assert bits(out.data) == bits(direct["by_target"].run(z.data, rhat.data))
+        assert bits(z.grad) == bits(direct["by_source"].run(g, rhat.data))
+        assert bits(rhat.grad) == bits(direct["by_relation"].run(g, z.data))
+
+    @pytest.mark.parametrize("name", ["sparse-shaped", "umls"])
+    def test_build_memory(self, name):
+        # counting pairs marks a boolean key space: no sort, and it runs after the
+        # sorted copies are freed; a paired bucket holds one index per slot, not two
+        build, paired = PAIR_GRAPHS[name]
+        args = PLAN_ARGS["by_target"](build())
+        peak, held = {}, {}
+        for plan_type in (DirectPlan, ProductSumPlan):
+            tracemalloc.start()
+            try:
+                plan = plan_type(*args)
+                held[plan_type], peak[plan_type] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert (plan.pairs is not None) == ("by_target" in paired)
+        assert peak[ProductSumPlan] <= 1.25 * peak[DirectPlan], peak
+        if paired:
+            assert held[ProductSumPlan] <= held[DirectPlan], held
