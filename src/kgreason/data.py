@@ -8,11 +8,13 @@ File conventions: UTF-8 tab-separated ``head relation tail`` lines,
 
 from __future__ import annotations
 
+import operator
 import os
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,7 +30,7 @@ class VocabularyError(Exception):
 
 
 class GraphError(Exception):
-    """Graph construction was handed out-of-range or inconsistent ids."""
+    """Graph or query construction was handed out-of-range or inconsistent ids."""
 
 
 class DatasetError(Exception):
@@ -339,41 +341,129 @@ def build_graph(
     return KnowledgeGraph(heads, rels, tails, num_entities, num_base_relations, num_relations)
 
 
-def build_filter_sets(*triplet_lists) -> dict:
-    """Union of true tails per (head, relation) across the given splits."""
-    filters: dict[tuple[int, int], set] = {}
-    for triplets in triplet_lists:
-        for h, r, t in _rows(triplets).tolist():
-            filters.setdefault((h, r), set()).add(t)
-    return filters
+def _query_rows(triplets, num_base_relations: int) -> np.ndarray:
+    """Each fact (h, r, t) as two query rows, (h, r, t) then its inverse (t, r + R, h).
+
+    Query keys pack ``head * 2R + relation``, unique only while every id is
+    non-negative and every base relation is below R, so other ids are refused.
+    """
+    rows = _rows(triplets)
+    if rows.size and rows.min() < 0:
+        raise GraphError("negative id in query facts")
+    if rows.size and rows[:, 1].max() >= num_base_relations:
+        raise GraphError(f"relation id {int(rows[:, 1].max())} out of range [0, {num_base_relations}) "
+                         "in query facts: ids at or above it would alias inverse-relation keys")
+    both = np.empty((2 * len(rows), 3), dtype=np.int64)
+    both[0::2] = rows
+    both[1::2] = rows[:, ::-1] + (0, num_base_relations, 0)
+    return both
 
 
-def make_queries(
-    triplets,
-    num_base_relations: int,
-    filters: dict,
-) -> list[Query]:
+class QueryFilters(Mapping):
+    """Known true tails per query (head, relation), read-only, as CSR arrays.
+
+    ``packed`` holds the sorted distinct keys ``head * 2R + relation``;
+    key ``i``'s distinct tails are ``tails[ptr[i]:ptr[i + 1]]``, ascending.
+    Each key's ``frozenset`` is built on first lookup and shared by every
+    later one, so no query holds its own copy.
+    """
+
+    def __init__(self, packed, ptr, tails, num_base_relations: int):
+        self.packed, self.ptr, self.tails = packed, ptr, tails
+        for arr in (packed, ptr, tails):
+            arr.flags.writeable = False
+        self.num_base_relations = num_base_relations
+        self._sets: list[Optional[frozenset]] = [None] * len(packed)
+
+    def slots(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
+        """Positions in ``packed`` of each (head, relation); KeyError names the first one absent."""
+        packed = heads * (2 * self.num_base_relations) + relations
+        pos = np.searchsorted(self.packed, packed)
+        found = pos < len(self.packed)
+        found[found] = self.packed[pos[found]] == packed[found]
+        if not found.all():
+            i = int(np.argmin(found))
+            raise KeyError((int(heads[i]), int(relations[i])))
+        return pos
+
+    def tails_at(self, slot: int) -> frozenset:
+        """The shared filter of ``packed[slot]``."""
+        tails = self._sets[slot]
+        if tails is None:
+            tails = self._sets[slot] = frozenset(self.tails[self.ptr[slot]:self.ptr[slot + 1]].tolist())
+        return tails
+
+    def __getitem__(self, key) -> frozenset:
+        head, relation = key
+        if head < 0 or not 0 <= relation < 2 * self.num_base_relations:
+            raise KeyError(key)
+        return self.tails_at(int(self.slots(np.array([head]), np.array([relation]))[0]))
+
+    def __iter__(self):
+        heads, relations = np.divmod(self.packed, 2 * self.num_base_relations)
+        return zip(heads.tolist(), relations.tolist())
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+
+class Queries(Sequence):
+    """Read-only queries as arrays; a ``Query`` is made on access, its filter shared from ``filters``."""
+
+    def __init__(self, rows: np.ndarray, slots: np.ndarray, filters: QueryFilters):
+        self._rows, self._slots, self._filters = rows, slots, filters
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Queries(self._rows[index], self._slots[index], self._filters)
+        head, relation, gold = self._rows[index].tolist()
+        return Query(head, relation, gold, self._filters.tails_at(int(self._slots[index])))
+
+    def __iter__(self):
+        return map(Query, *self._rows.T.tolist(), map(self._filters.tails_at, self._slots.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+def make_queries(triplets, num_base_relations: int, filters: QueryFilters) -> Queries:
     """Tail queries for each fact in both directions.
 
     Head prediction (?, r, t) is evaluated as the tail query (t, r2, ?)
     under the inverse relation, so every fact yields two queries. The
-    ``filters`` mapping must already cover inverse-relation keys.
+    ``filters`` must come from ``query_filters`` over splits that include
+    these facts, under the same ``num_base_relations``.
     """
-    queries = []
-    for h, r, t in _rows(triplets).tolist():
-        queries.append(Query(h, r, t, frozenset(filters[(h, r)])))
-        inv = r + num_base_relations
-        queries.append(Query(t, inv, h, frozenset(filters[(t, inv)])))
-    return queries
+    if filters.num_base_relations != num_base_relations:
+        raise GraphError(f"filters packed for {filters.num_base_relations} base relations, "
+                         f"queries for {num_base_relations}")
+    rows = _query_rows(triplets, num_base_relations)
+    return Queries(rows, filters.slots(rows[:, 0], rows[:, 1]), filters)
 
 
-def query_filters(triplet_lists, num_base_relations: int) -> dict:
-    """Filter sets over the inverse-augmented query space of the given splits."""
-    augmented = []
-    for triplets in triplet_lists:
-        rows = _rows(triplets)
-        augmented += [rows, rows[:, ::-1] + (0, num_base_relations, 0)]
-    return build_filter_sets(*augmented)
+def query_filters(triplet_lists, num_base_relations: int) -> QueryFilters:
+    """Known tails of every (head, relation) over the inverse-augmented query space of the splits.
+
+    One lexsort by (packed key, tail) over all query rows, repeats dropped,
+    cut where the key changes.
+    """
+    rows = np.concatenate([_query_rows(t, num_base_relations) for t in triplet_lists]
+                          or [np.empty((0, 3), dtype=np.int64)])
+    keys = rows[:, 0] * (2 * num_base_relations) + rows[:, 1]
+    order = np.lexsort((rows[:, 2], keys))
+    keys, tails = keys[order], rows[order, 2]
+    new_key = np.ones(len(keys), dtype=bool)
+    new_key[1:] = keys[1:] != keys[:-1]
+    keep = new_key.copy()
+    keep[1:] |= tails[1:] != tails[:-1]
+    keys, tails, new_key = keys[keep], tails[keep], new_key[keep]
+    starts = np.flatnonzero(new_key)
+    return QueryFilters(keys[starts], np.append(starts, len(keys)), tails, num_base_relations)
 
 
 @dataclass

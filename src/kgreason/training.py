@@ -389,7 +389,7 @@ def _filter_splits(dataset: DatasetSplit, split: str) -> tuple:
 
 
 def split_queries(dataset: DatasetSplit, *splits: str) -> list:
-    """Filtered tail queries (both directions) of each named split, one list per split."""
+    """Filtered tail queries (both directions) of each named split, one ``Queries`` per split."""
     filters = {}
     out = []
     for split in splits:

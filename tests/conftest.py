@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from kgreason.data import Triplet, build_graph
+from kgreason.data import Query, Triplet, build_graph
 from kgreason.model import ModelConfig, ModelParams
 
 
@@ -50,6 +50,30 @@ def incoming(graph, entity: int) -> list[tuple[int, int]]:
     """(source, relation) pairs of facts relation(source, entity), sorted by (relation, source)."""
     lo, hi = graph.row_ptr[entity], graph.row_ptr[entity + 1]
     return list(zip(graph.in_src[lo:hi].tolist(), graph.in_rel[lo:hi].tolist()))
+
+
+def build_filter_sets(*triplet_lists) -> dict:
+    """Oracle: union of true tails per (head, relation) across the given splits, fact by fact."""
+    filters: dict[tuple[int, int], set] = {}
+    for triplets in triplet_lists:
+        for h, r, t in np.asarray(triplets, dtype=np.int64).reshape(-1, 3).tolist():
+            filters.setdefault((h, r), set()).add(t)
+    return filters
+
+
+def oracle_queries(triplets, num_base_relations: int, known_splits) -> list:
+    """Oracle: both-direction queries of ``triplets``, each with its own copy of its filter."""
+    augmented = []
+    for split in known_splits:
+        rows = np.asarray(split, dtype=np.int64).reshape(-1, 3)
+        augmented += [rows, rows[:, ::-1] + (0, num_base_relations, 0)]
+    filters = build_filter_sets(*augmented)
+    queries = []
+    for h, r, t in np.asarray(triplets, dtype=np.int64).reshape(-1, 3).tolist():
+        queries.append(Query(h, r, t, frozenset(filters[(h, r)])))
+        inv = r + num_base_relations
+        queries.append(Query(t, inv, h, frozenset(filters[(t, inv)])))
+    return queries
 
 
 def rewrite_header(path, edit) -> None:

@@ -1,18 +1,18 @@
 """Loader, vocabulary, graph-index and filter-set tests."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import incoming
+from conftest import build_filter_sets, incoming, oracle_queries
 from kgreason.data import (
     GraphError,
     ParseError,
     Triplet,
     Vocabulary,
     VocabularyError,
-    build_filter_sets,
     build_graph,
     load_dataset,
     load_triplets,
@@ -341,6 +341,86 @@ class TestFilterSets:
         for q in queries:
             assert all(type(v) is int for v in (q.head, q.relation, q.gold_tail, *q.filter_set))
         assert all(type(v) is int for key, tails in filters.items() for v in (*key, *tails))
+
+    @staticmethod
+    def _facts(rng, num_entities, num_base_relations, n):
+        """Seeded facts with repeats and self-loops mixed in."""
+        facts = np.stack([rng.integers(num_entities, size=n), rng.integers(num_base_relations, size=n),
+                          rng.integers(num_entities, size=n)], axis=1)
+        facts[: n // 4] = facts[rng.integers(n // 4, n, size=n // 4)]  # repeated facts
+        facts[n // 4: n // 3, 2] = facts[n // 4: n // 3, 0]  # self-loops
+        return facts[rng.permutation(n)]
+
+    @staticmethod
+    def _assert_same_queries(got, want):
+        got = list(got)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == w
+            assert all(type(v) is int for v in (g.head, g.relation, g.gold_tail, *g.filter_set))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_queries_match_fact_by_fact_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        num_entities, num_base_relations = 30, 4
+        splits = [self._facts(rng, num_entities, num_base_relations, 200),
+                  self._facts(rng, num_entities, num_base_relations, 40),
+                  np.empty((0, 3), dtype=np.int64)]
+        filters = query_filters(splits, num_base_relations)
+        augmented = [part for s in splits for part in (s, s[:, ::-1] + (0, num_base_relations, 0))]
+        want = build_filter_sets(*augmented)
+        assert dict(filters) == want
+        assert list(filters) == sorted(want, key=lambda k: k[0] * 2 * num_base_relations + k[1])
+        # the CSR arrays are canonical: each key's tails once, ascending
+        assert [filters.tails[lo:hi].tolist() for lo, hi in zip(filters.ptr[:-1], filters.ptr[1:])] == \
+            [sorted(want[key]) for key in filters]
+        for split in splits:
+            queries = make_queries(split, num_base_relations, filters)
+            self._assert_same_queries(queries, oracle_queries(split, num_base_relations, splits))
+            self._assert_same_queries(queries[3:17:2], oracle_queries(split, num_base_relations, splits)[3:17:2])
+            if len(split):
+                assert queries[-1] == queries[len(queries) - 1] == queries[np.int64(len(queries) - 1)]
+
+    def test_inductive_pairing_matches_oracle(self):
+        rng = np.random.default_rng(3)
+        train = self._facts(rng, 40, 3, 150)
+        inference, test = self._facts(rng, 12, 3, 60), self._facts(rng, 12, 3, 20)
+        filters = query_filters([inference, test], 3)
+        self._assert_same_queries(make_queries(test, 3, filters), oracle_queries(test, 3, [inference, test]))
+        train_filters = query_filters([train], 3)
+        self._assert_same_queries(make_queries(train, 3, train_filters), oracle_queries(train, 3, [train]))
+
+    def test_queries_share_their_key_filter(self):
+        trips = np.array([[0, 0, t] for t in range(1, 1001)], dtype=np.int64)
+        filters = query_filters([trips], num_base_relations=1)
+        tracemalloc.start()
+        try:
+            held = list(make_queries(trips, 1, filters))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, f"{peak / 2**20:.1f} MB held for {trips.nbytes} bytes of facts"
+        assert len({id(q.filter_set) for q in held[0::2]}) == 1 and len(held[0].filter_set) == 1000
+
+    @pytest.mark.parametrize("bad", [[0, 2, 1], [0, 3, 1], [-1, 0, 1], [0, -1, 1], [0, 0, -1]])
+    def test_ids_that_could_alias_packed_keys_are_refused(self, bad):
+        good = np.array([[0, 0, 1], [1, 1, 2]], dtype=np.int64)
+        bad_rows = np.array([bad], dtype=np.int64)
+        with pytest.raises(GraphError, match="relation id|negative id"):
+            query_filters([good, bad_rows], num_base_relations=2)
+        filters = query_filters([good], num_base_relations=2)
+        with pytest.raises(GraphError, match="relation id|negative id"):
+            make_queries(bad_rows, 2, filters)
+        with pytest.raises(GraphError, match="base relations"):
+            make_queries(good, 3, filters)
+        # packed as head * 4 + relation these would hit the keys of (1, 1) and (2, 3)
+        for key in ((0, 5), (-1, 9), (3, -1), (5, 0)):
+            assert key not in filters
+
+    def test_make_queries_refuses_facts_the_filters_do_not_cover(self):
+        filters = query_filters([[Triplet(0, 0, 1)]], num_base_relations=1)
+        with pytest.raises(KeyError, match=r"\(2, 0\)"):
+            make_queries([Triplet(0, 0, 1), Triplet(2, 0, 1)], 1, filters)
 
 
 requires_umls = pytest.mark.skipif(

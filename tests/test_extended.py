@@ -54,7 +54,8 @@ class TestConvergedPredictSweep:
         """
         import numpy as np
 
-        from kgreason.data import Query, build_filter_sets
+        from conftest import build_filter_sets
+        from kgreason.data import Query
         from kgreason.model import pin_noise, score_query
 
         dataset = load_dataset(UMLS_DIR)
