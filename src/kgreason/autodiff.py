@@ -253,6 +253,24 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b if a.shape[1] == 1 else a @ b
 
 
+def _add_broadcast_grad(b: Tensor, kind: str, g: np.ndarray, fresh: bool) -> None:
+    """Add ``g`` to the gradient of ``b``, summed over the axes ``b`` was broadcast along.
+
+    ``fresh`` is ``g``'s own flag; the sums are always fresh. A module
+    function, not a ``Tape`` method: a backward closure that held the tape
+    would make a reference cycle, and each dropped tape's arrays would wait
+    for the cyclic collector.
+    """
+    if kind == "same":
+        b._add_grad(g, fresh=fresh)
+    elif kind == "row":
+        b._add_grad(g.sum(axis=0, keepdims=True), fresh=True)
+    elif kind == "col":
+        b._add_grad(g.sum(axis=1, keepdims=True), fresh=True)
+    else:
+        b._add_grad(g.sum().reshape(1, 1), fresh=True)
+
+
 def _as_index(rows) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64).reshape(-1)
 
@@ -396,14 +414,7 @@ class Tape:
 
         def bwd(g):
             a._add_grad(g)
-            if kind == "same":
-                b._add_grad(g)
-            elif kind == "row":
-                b._add_grad(g.sum(axis=0, keepdims=True), fresh=True)
-            elif kind == "col":
-                b._add_grad(g.sum(axis=1, keepdims=True), fresh=True)
-            else:
-                b._add_grad(g.sum().reshape(1, 1), fresh=True)
+            _add_broadcast_grad(b, kind, g, fresh=False)
 
         return self._emit("add", a.data + b.data, bwd)
 
@@ -413,15 +424,7 @@ class Tape:
 
         def bwd(g):
             a._add_grad(g * bd, fresh=True)
-            gb = g * ad
-            if kind == "same":
-                b._add_grad(gb, fresh=True)
-            elif kind == "row":
-                b._add_grad(gb.sum(axis=0, keepdims=True), fresh=True)
-            elif kind == "col":
-                b._add_grad(gb.sum(axis=1, keepdims=True), fresh=True)
-            else:
-                b._add_grad(gb.sum().reshape(1, 1), fresh=True)
+            _add_broadcast_grad(b, kind, g * ad, fresh=True)
 
         return self._emit("mul", ad * bd, bwd)
 

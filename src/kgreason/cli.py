@@ -181,15 +181,17 @@ def cmd_train(args) -> int:
         raise UserError("no dataset path configured")
     dataset = _load_dataset(dataset_settings.path, dataset_settings.mode)
     check_train_settings(dataset, settings["training"])
+    resume = None
     if args.resume:
-        check_resume(args.resume, settings["model"])
+        resume = load_checkpoint(args.resume)
+        check_resume(resume, settings["model"], dataset, args.resume)
     out_dir = run.output_dir or None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         echo_config(out_dir, settings)
     log = (lambda *a, **k: None) if run.verbosity == "quiet" else print
     result = train(dataset, settings["model"], settings["training"], out_dir=out_dir,
-                   resume_from=args.resume, log=log)
+                   resume=resume, log=log)
     best = result.best
     print(f"done: best validation MRR {best['mrr']:.4f} at epoch {best['epoch']}"
           if best["mrr"] >= 0 else "done (no validation evaluations ran)")
@@ -417,15 +419,6 @@ def scaling_measurements(sizes, dim=32, reps=3, seed=0):
 
 def linear_fit_r2(xs, ys) -> float:
     x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    coeffs = np.polyfit(x, y, 1)
-    resid = y - np.polyval(coeffs, x)
-    total = y - y.mean()
-    return float(1.0 - (resid @ resid) / (total @ total))
-
-
-def quadratic_fit_r2(xs, ys) -> float:
-    x = np.asarray(xs, dtype=np.float64) ** 2
     y = np.asarray(ys, dtype=np.float64)
     coeffs = np.polyfit(x, y, 1)
     resid = y - np.polyval(coeffs, x)

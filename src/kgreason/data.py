@@ -72,9 +72,6 @@ class Vocabulary:
     def __len__(self):
         return len(self._tokens)
 
-    def __contains__(self, token: str):
-        return token in self._index
-
     def __getitem__(self, idx: int) -> str:
         return self._tokens[idx]
 
@@ -218,7 +215,6 @@ class KnowledgeGraph:
     ``in_rel`` and ``in_tgt`` are read-only int64 columns sorted by
     (target, relation, source), ties in input order, which makes iteration
     order, and therefore every floating-point reduction, deterministic.
-    ``row_ptr`` delimits each target's incoming facts.
     """
 
     def __init__(self, heads, relations, tails, num_entities, num_base_relations, num_relations):
@@ -232,8 +228,7 @@ class KnowledgeGraph:
         self.in_src = heads[order]
         self.in_rel = relations[order]
         self.in_tgt = tails[order]
-        self.row_ptr = np.searchsorted(self.in_tgt, np.arange(self.num_entities + 1), side="left")
-        for arr in (self._key, self.in_src, self.in_rel, self.in_tgt, self.row_ptr):
+        for arr in (self._key, self.in_src, self.in_rel, self.in_tgt):
             arr.flags.writeable = False
 
     # Product-sum plans over the facts, built on first use: message aggregation

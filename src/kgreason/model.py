@@ -365,7 +365,6 @@ def dense_attention_oracle(ztilde: np.ndarray, zhat: np.ndarray, head: Attention
 class ForwardState:
     """Intermediate matrices captured for diagnostics (numpy copies)."""
 
-    x: list = field(default_factory=list)                # X^(0..L)
     query_reprs: list = field(default_factory=list)      # one per layer
     value_reprs: list = field(default_factory=list)
 
@@ -461,7 +460,6 @@ def transformer_layer(tape: Tape, graph: KnowledgeGraph, x: Tensor, query: Query
     if state is not None:
         state.query_reprs.append(ztilde.data.copy())
         state.value_reprs.append(zhat.data.copy())
-        state.x.append(out.data.copy())
     return out
 
 
@@ -483,8 +481,6 @@ def forward(tape: Tape, graph: KnowledgeGraph, query: Query, params: ModelParams
         exclude = graph.excluded_edge_endpoints(query.head, query.relation, query.gold_tail)
     indicator = head_indicator(config, n, query.head)
     x = tape.tensor(np.zeros((n, config.hidden_dim), dtype=config.dtype))
-    if state is not None:
-        state.x.append(x.data.copy())
     for layer in params.layers:
         x = transformer_layer(tape, graph, x, query, params.relations, layer, config, noise,
                               indicator, exclude, state, query_side=query_side)

@@ -166,10 +166,6 @@ def _config_digest(model_section: dict, train_section: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _rng_state(gen: np.random.Generator) -> dict:
-    return gen.bit_generator.state
-
-
 def _restore_rng(state: dict) -> np.random.Generator:
     gen = np.random.Generator(np.random.PCG64())
     gen.bit_generator.state = state
@@ -178,6 +174,8 @@ def _restore_rng(state: dict) -> np.random.Generator:
 
 @dataclass
 class Checkpoint:
+    """A run's record: what ``load_checkpoint`` returns and ``save_checkpoint`` writes."""
+
     model_config: ModelConfig
     train_config: TrainConfig
     params: ModelParams
@@ -188,19 +186,18 @@ class Checkpoint:
     training_state: dict
 
 
-def save_checkpoint(path: str, params: ModelParams, adam: AdamState,
-                    model_config: ModelConfig, train_config: TrainConfig,
-                    entity_tokens: Sequence[str], relation_tokens: Sequence[str],
-                    rng_states: dict, training_state: dict) -> None:
-    """Write the documented binary container: magic, JSON header, raw payload.
+def save_checkpoint(path: str, ck: Checkpoint) -> None:
+    """Write ``ck`` as the documented binary container: magic, JSON header, raw payload.
 
-    Tensors are serialized little-endian in parameter order, the parameters
-    first, then the two Adam moments; each is written straight from its
-    array. The header is canonical JSON (sorted keys), so save -> load ->
-    save round-trips to identical bytes. The file is written beside ``path``
-    and renamed over it, so a save that fails partway leaves the previous
-    file intact.
+    ``ck`` is what ``load_checkpoint`` returns, so ``save_checkpoint(p2,
+    load_checkpoint(p1))`` writes the bytes of ``p1`` again. Tensors are
+    serialized little-endian in parameter order, the parameters first, then
+    the two Adam moments; each is written straight from its array. The
+    header is canonical JSON (sorted keys). The file is written beside
+    ``path`` and renamed over it, so a save that fails partway leaves the
+    previous file intact.
     """
+    params, adam = ck.params, ck.adam
     tensors = []
     arrays = []
     offset = 0
@@ -224,15 +221,15 @@ def save_checkpoint(path: str, params: ModelParams, adam: AdamState,
 
     header = {
         "format_version": _FORMAT_VERSION,
-        "config_digest": _config_digest(asdict(model_config), asdict(train_config)),
-        "model_config": asdict(model_config),
-        "train_config": asdict(train_config),
+        "config_digest": _config_digest(asdict(ck.model_config), asdict(ck.train_config)),
+        "model_config": asdict(ck.model_config),
+        "train_config": asdict(ck.train_config),
         "num_relations": params.num_relations,
         "adam_step": adam.step,
-        "entity_tokens": list(entity_tokens),
-        "relation_tokens": list(relation_tokens),
-        "rng": rng_states,
-        "training_state": training_state,
+        "entity_tokens": list(ck.entity_tokens),
+        "relation_tokens": list(ck.relation_tokens),
+        "rng": ck.rng_states,
+        "training_state": ck.training_state,
         "tensors": tensors,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -457,29 +454,39 @@ def check_train_settings(dataset: DatasetSplit, train_config: TrainConfig) -> No
                           f"the training graph has {num_entities}, and negatives exclude the gold")
 
 
-def check_resume(resume_from: str, model_config: ModelConfig) -> Checkpoint:
-    """The checkpoint a run resumes from, refused unless it has the requested architecture.
+def check_resume(ck: Checkpoint, model_config: ModelConfig, dataset: DatasetSplit,
+                 source: str = "resume checkpoint") -> None:
+    """Refuse a checkpoint (read from ``source``) that a run on ``dataset`` cannot continue.
 
-    ``train`` runs this before it trains; ``kgreason train`` runs it first too,
-    so a refused resume writes nothing into the output directory.
+    It must have the requested architecture, hold its Adam moments, and
+    have the dataset's relation vocabulary, id for id, since relation
+    parameters are indexed by relation id. Entity tokens may differ: no
+    parameter belongs to an entity. ``kgreason train`` runs this before it
+    writes anything, and ``train`` runs it on the record it is given.
     """
-    ck = load_checkpoint(resume_from)
     if asdict(ck.model_config) != asdict(model_config):
         raise CheckpointError(
-            f"{resume_from}: checkpoint model configuration differs from the requested one; "
+            f"{source}: checkpoint model configuration differs from the requested one; "
             "resuming would silently change the architecture")
-    return ck
+    if tuple(ck.relation_tokens) != dataset.relation_vocab.tokens:
+        raise CheckpointError(
+            f"{source}: checkpoint relation vocabulary differs from the dataset's; relation "
+            "parameters are indexed by relation id, so resuming would change what they mean")
+    if ck.adam is None:
+        raise CheckpointError(f"{source}: loaded without its Adam moments; a run resumes with them")
 
 
 def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainConfig,
-          out_dir: Optional[str] = None, resume_from: Optional[str] = None,
+          out_dir: Optional[str] = None, resume: Optional[Checkpoint] = None,
           log=print) -> TrainResult:
     """Train on the dataset's train split, tracking filtered validation MRR.
 
     Every training fact yields a tail query in each direction (the inverse
     edge supervises head prediction). During a query's forward pass the
     query's own edge and its inverse are dropped from message passing so
-    the answer cannot leak through the graph.
+    the answer cannot leak through the graph. ``resume``, a checkpoint loaded
+    with its moments, continues the run it records; its arrays are trained
+    in place.
     """
     check_train_settings(dataset, train_config)
     num_rel_aug = 2 * dataset.num_relations
@@ -488,42 +495,31 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
     if train_config.max_valid_queries is not None:
         valid_queries = valid_queries[:train_config.max_valid_queries]
 
-    if resume_from:
-        ck = check_resume(resume_from, model_config)
-        params, adam = ck.params, ck.adam
-        shuffle_rng = _restore_rng(ck.rng_states["shuffle"])
-        neg_rng = _restore_rng(ck.rng_states["negatives"])
-        noise_rng = _restore_rng(ck.rng_states["noise"])
-        start_epoch = ck.training_state["epoch"]
-        best = ck.training_state["best"]
-        evals_since_best = ck.training_state["evals_since_best"]
-    else:
+    # The run's state, as a checkpoint records it: the epoch/best/evals_since_best
+    # record ``run``, and one generator per stream the epochs draw from.
+    if resume is None:
         params = ModelParams(model_config, num_rel_aug, rng_stream(train_config.seed, "init"))
         adam = AdamState(params.parameters())
-        shuffle_rng = rng_stream(train_config.seed, "shuffle")
-        neg_rng = rng_stream(train_config.seed, "negatives")
-        noise_rng = rng_stream(train_config.seed, "noise")
-        start_epoch = 0
-        best = {"mrr": -1.0, "epoch": 0}
-        evals_since_best = 0
+        rngs = {name: rng_stream(train_config.seed, name) for name in ("shuffle", "negatives", "noise")}
+        run = {"epoch": 0, "best": {"mrr": -1.0, "epoch": 0}, "evals_since_best": 0}
+    else:
+        check_resume(resume, model_config, dataset)
+        params, adam, run = resume.params, resume.adam, dict(resume.training_state)
+        rngs = {name: _restore_rng(state) for name, state in resume.rng_states.items()}
     log(f"model has {params.count()} parameters over {num_rel_aug} relations "
         f"({len(train_queries)} training queries)")
 
     metrics_path = os.path.join(out_dir, "metrics.jsonl") if out_dir else None
-    logger = _MetricsLog(metrics_path, start_epoch if resume_from else None)
+    logger = _MetricsLog(metrics_path, None if resume is None else run["epoch"])
     ckpt_path = os.path.join(out_dir, "checkpoint.bin") if out_dir else None
     best_path = os.path.join(out_dir, "best.bin") if out_dir else None
 
     def snapshot(path):
-        if path is None:
-            return
-        save_checkpoint(
-            path, params, adam, model_config, train_config,
-            dataset.entity_vocab.tokens, dataset.relation_vocab.tokens,
-            {"shuffle": _rng_state(shuffle_rng), "negatives": _rng_state(neg_rng),
-             "noise": _rng_state(noise_rng)},
-            {"epoch": epoch, "best": best, "evals_since_best": evals_since_best},
-        )
+        if path is not None:
+            rng_states = {name: gen.bit_generator.state for name, gen in rngs.items()}
+            save_checkpoint(path, Checkpoint(model_config, train_config, params, adam,
+                                             dataset.entity_vocab.tokens, dataset.relation_vocab.tokens,
+                                             rng_states, run))
 
     def record(epoch, split, loss=None, grad_norm=None, report=None, wall_ms=None, timing=None):
         rec = {"epoch": epoch, "split": split, "loss": loss, "grad_norm": grad_norm,
@@ -538,11 +534,11 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
         logger.emit(rec)
         return rec
 
-    epoch = start_epoch
     stop = False
-    for epoch in range(start_epoch + 1, train_config.epochs + 1):
+    for epoch in range(run["epoch"] + 1, train_config.epochs + 1):
+        run["epoch"] = epoch
         t0 = time.perf_counter()
-        order = shuffle_rng.permutation(len(train_queries))
+        order = rngs["shuffle"].permutation(len(train_queries))
         epoch_loss = 0.0
         grad_norm = 0.0
         fwd_s = bwd_s = opt_s = 0.0
@@ -552,10 +548,10 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
             batch_loss = 0.0
             for qi in batch:
                 q = train_queries[qi]
-                negs = sample_negatives(neg_rng, graph.num_entities, q.gold_tail,
+                negs = sample_negatives(rngs["negatives"], graph.num_entities, q.gold_tail,
                                         train_config.num_negatives)
                 noise = make_noise(model_config, graph.num_entities,
-                                   noise_rng if model_config.noise_mode == "per_forward" else None)
+                                   rngs["noise"] if model_config.noise_mode == "per_forward" else None)
                 t_fwd = time.perf_counter()
                 tape = Tape()
                 scores = forward(tape, graph, q, params, model_config, noise,
@@ -599,16 +595,15 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
             wall = (time.perf_counter() - t1) * 1000.0
             record(epoch, "valid", report=report, wall_ms=round(wall, 3))
             log(f"epoch {epoch}: train loss {mean_loss:.4f} | valid {report}")
-            if report.mrr > best["mrr"]:
-                best = {"mrr": report.mrr, "epoch": epoch}
-                evals_since_best = 0
+            if report.mrr > run["best"]["mrr"]:
+                run.update(best={"mrr": report.mrr, "epoch": epoch}, evals_since_best=0)
                 snapshot(best_path)
             else:
-                evals_since_best += 1
+                run["evals_since_best"] += 1
             if train_config.target_valid_mrr is not None and report.mrr >= train_config.target_valid_mrr:
                 log(f"target validation MRR {train_config.target_valid_mrr} reached; stopping")
                 stop = True
-            if evals_since_best >= train_config.patience:
+            if run["evals_since_best"] >= train_config.patience:
                 log(f"no improvement in {train_config.patience} evaluations; stopping")
                 stop = True
         else:
@@ -617,4 +612,4 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
             break
 
     snapshot(ckpt_path)
-    return TrainResult(params, adam, logger.records, best, ckpt_path, best_path)
+    return TrainResult(params, adam, logger.records, run["best"], ckpt_path, best_path)

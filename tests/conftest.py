@@ -48,7 +48,7 @@ def random_graph(rng, num_entities, num_base_relations, num_edges, add_inverse=T
 
 def incoming(graph, entity: int) -> list[tuple[int, int]]:
     """(source, relation) pairs of facts relation(source, entity), sorted by (relation, source)."""
-    lo, hi = graph.row_ptr[entity], graph.row_ptr[entity + 1]
+    lo, hi = np.searchsorted(graph.in_tgt, [entity, entity + 1])
     return list(zip(graph.in_src[lo:hi].tolist(), graph.in_rel[lo:hi].tolist()))
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import make_model
 from kgreason.autodiff import Tape, grad_check
-from kgreason.cli import _toy_graph_and_model, linear_fit_r2, quadratic_fit_r2, scaling_measurements
+from kgreason.cli import _toy_graph_and_model, linear_fit_r2, scaling_measurements
 from kgreason.data import (
     Query, Triplet, build_graph, load_dataset, make_queries, query_filters,
 )
@@ -166,7 +166,7 @@ class TestCriterion5ComplexityScaling:
                 t0 = time.perf_counter()
                 dense_attention_oracle(zt, zh, head)
                 times[i] = min(times[i], time.perf_counter() - t0)
-        quad_r2 = quadratic_fit_r2(sizes, times)
+        quad_r2 = linear_fit_r2([n * n for n in sizes], times)
         growth = times[-1] / times[0]
         ok = quad_r2 >= 0.95 and growth > 20
         report(5, "dense-path quadratic growth (companion)", ok,

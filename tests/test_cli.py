@@ -8,6 +8,7 @@ import pytest
 
 from conftest import rewrite_header, set_header
 from kgreason.cli import load_run_config, main, UserError
+from kgreason.training import load_checkpoint
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -169,6 +170,40 @@ class TestTrainCommand:
         assert rc == 2
         assert "checkpoint model configuration differs" in capsys.readouterr().err
         assert {f.name: f.read_bytes() for f in out.iterdir()} == before  # resolved.cfg included
+
+    @pytest.mark.parametrize("train_rows", [
+        [TOY_TRIPLES[2]] + TOY_TRIPLES[:2] + TOY_TRIPLES[3:6],  # the same facts, r1 first: ids swap
+        [row for row in TOY_TRIPLES[:6] if row[1] == "r0"],     # r1 dropped
+    ], ids=["reordered", "dropped"])
+    def test_resume_refuses_foreign_relation_vocabulary(self, toy_config, tmp_path, train_rows, capsys):
+        first = tmp_path / "first"
+        assert main(["train", "--config", str(toy_config), "--set", "training.epochs=0",
+                     "--out", str(first)]) == 0
+        other = write_dataset(tmp_path / "other", {"train": train_rows, "valid": [TOY_TRIPLES[7]],
+                                                   "test": [TOY_TRIPLES[7]]})
+        out = tmp_path / "resumed"
+        rc = main(["train", "--config", str(toy_config), "--set", f"dataset.path={other}",
+                   "--resume", str(first / "checkpoint.bin"), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith(f"error: {first / 'checkpoint.bin'}: checkpoint relation vocabulary differs")
+        assert not out.exists()
+
+    def test_resume_reads_checkpoint_once(self, toy_config, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(toy_config), "--set", "training.epochs=1",
+                     "--out", str(out)]) == 0
+        reads = []
+
+        def counted(path, *args, **kwargs):
+            reads.append(path)
+            return load_checkpoint(path, *args, **kwargs)
+
+        monkeypatch.setattr("kgreason.training.load_checkpoint", counted)
+        monkeypatch.setattr("kgreason.cli.load_checkpoint", counted)
+        assert main(["train", "--config", str(toy_config), "--resume", str(out / "checkpoint.bin"),
+                     "--out", str(out)]) == 0
+        assert reads == [str(out / "checkpoint.bin")]
 
     @pytest.mark.parametrize("split, line, message", [
         ("train", "a\tr0", "{path}:8: expected 3 tab-separated fields, got 2"),

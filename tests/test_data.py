@@ -247,11 +247,10 @@ class TestBuildGraph:
         rels = np.concatenate([arr[:, 1], arr[:, 1] + r])
         tails = np.concatenate([arr[:, 2], arr[:, 0]])
         order = np.lexsort((heads, rels, tails))
-        want = (heads[order], rels[order], tails[order],
-                np.searchsorted(tails[order], np.arange(n + 1), side="left"))
+        want = (heads[order], rels[order], tails[order])
         for triplets in (arr, [Triplet(*row) for row in arr.tolist()]):
             g = build_graph(triplets, n, r, add_inverse=True)
-            got = (g.in_src, g.in_rel, g.in_tgt, g.row_ptr)
+            got = (g.in_src, g.in_rel, g.in_tgt)
             assert [a.tobytes() for a in got] == [w.tobytes() for w in want]
 
     def test_edges_index_roundtrip_lossless(self):
@@ -265,7 +264,7 @@ class TestBuildGraph:
 
     def test_immutable_arrays(self):
         g = build_graph([Triplet(0, 0, 1)], 2, 1)
-        for arr in (g.in_src, g.in_rel, g.in_tgt, g.row_ptr):
+        for arr in (g.in_src, g.in_rel, g.in_tgt):
             with pytest.raises(ValueError):
                 arr[0] = 5
 

@@ -14,6 +14,7 @@ from kgreason.model import ModelConfig, ModelParams
 from kgreason.training import (
     ADAM_EPS,
     AdamState,
+    Checkpoint,
     CheckpointError,
     SamplingError,
     TrainConfig,
@@ -234,7 +235,7 @@ class TestTrainLoop:
         with open(half_dir / "metrics.jsonl", "a", encoding="utf-8") as fh:
             fh.write('{"epoch": 3, "split": "train"}\n')
         result = train(ds, mcfg, toy_train_config(epochs=4, eval_interval=1), out_dir=str(half_dir),
-                       resume_from=str(half_dir / "checkpoint.bin"), log=lambda *a, **k: None)
+                       resume=load_checkpoint(str(half_dir / "checkpoint.bin")), log=lambda *a, **k: None)
 
         assert (half_dir / "checkpoint.bin").read_bytes() == (full_dir / "checkpoint.bin").read_bytes()
         log = (full_dir / "metrics.jsonl").read_bytes()
@@ -361,11 +362,9 @@ class TestCheckpointContainer:
                 "noise": rng_stream(1, "noise").bit_generator.state}
         tstate = {"epoch": 2, "best": {"mrr": 0.5, "epoch": 1}, "evals_since_best": 1}
         p1 = tmp_path / "a.bin"
-        save_checkpoint(str(p1), params, adam, mcfg, TrainConfig(), ["e0"], ["r0"], rngs, tstate)
-        ck = load_checkpoint(str(p1))
+        save_checkpoint(str(p1), Checkpoint(mcfg, TrainConfig(), params, adam, ["e0"], ["r0"], rngs, tstate))
         p2 = tmp_path / "b.bin"
-        save_checkpoint(str(p2), ck.params, ck.adam, ck.model_config, ck.train_config,
-                        ck.entity_tokens, ck.relation_tokens, ck.rng_states, ck.training_state)
+        save_checkpoint(str(p2), load_checkpoint(str(p1)))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_resume_with_different_architecture_rejected(self, tmp_path):
@@ -377,7 +376,15 @@ class TestCheckpointContainer:
         other = make_config(noise_mode="per_forward", hidden_dim=12)
         with pytest.raises(CheckpointError, match="architecture"):
             train(ds, other, toy_train_config(epochs=2),
-                  resume_from=str(out / "checkpoint.bin"), log=lambda *a, **k: None)
+                  resume=load_checkpoint(str(out / "checkpoint.bin")), log=lambda *a, **k: None)
+
+    def test_resume_without_moments_rejected(self, tmp_path):
+        ds = toy_dataset()
+        mcfg = make_config(noise_mode="per_forward")
+        train(ds, mcfg, toy_train_config(epochs=1), out_dir=str(tmp_path), log=lambda *a, **k: None)
+        lean = load_checkpoint(str(tmp_path / "checkpoint.bin"), moments=False)
+        with pytest.raises(CheckpointError, match="without its Adam moments"):
+            train(ds, mcfg, toy_train_config(epochs=2), resume=lean, log=lambda *a, **k: None)
 
     def test_retired_header_keys(self, tmp_path):
         # headers written while these were settings record them; only today's value loads
@@ -387,8 +394,8 @@ class TestCheckpointContainer:
         mcfg = ModelConfig(hidden_dim=8, attention_layers=1, query_layers=1, value_layers=1)
         params = ModelParams(mcfg, 4, np.random.default_rng(8))
         path = tmp_path / "c.bin"
-        save_checkpoint(str(path), params, AdamState(params.parameters()), mcfg, TrainConfig(),
-                        ["e"], ["r"], {}, {})
+        save_checkpoint(str(path), Checkpoint(mcfg, TrainConfig(), params, AdamState(params.parameters()),
+                                              ["e"], ["r"], {}, {}))
         pristine = path.read_bytes()
         for section, keys in retired.items():
             for key, value in keys.items():
@@ -408,8 +415,8 @@ class TestCheckpointContainer:
         mcfg = ModelConfig(hidden_dim=8, attention_layers=1, query_layers=1, value_layers=1)
         params = ModelParams(mcfg, 4, np.random.default_rng(8))
         path = tmp_path / "c.bin"
-        save_checkpoint(str(path), params, AdamState(params.parameters()), mcfg, TrainConfig(),
-                        ["e"], ["r"], {}, {})
+        save_checkpoint(str(path), Checkpoint(mcfg, TrainConfig(), params, AdamState(params.parameters()),
+                                              ["e"], ["r"], {}, {}))
         blob = path.read_bytes()
         head_len = int.from_bytes(blob[8:16], "little")
         cases = {
@@ -432,7 +439,8 @@ class TestCheckpointContainer:
         params = ModelParams(mcfg, 4, np.random.default_rng(8))
         adam = AdamState(params.parameters())
         path = tmp_path / "checkpoint.bin"
-        save_checkpoint(str(path), params, adam, mcfg, TrainConfig(), ["e"], ["r"], {}, {})
+        ck = Checkpoint(mcfg, TrainConfig(), params, adam, ["e"], ["r"], {}, {})
+        save_checkpoint(str(path), ck)
         before = path.read_bytes()
         saved = {p.name: p.data.copy() for p in params.parameters()}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
@@ -459,7 +467,7 @@ class TestCheckpointContainer:
         for p in params.parameters():
             p.data += 1.0
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(str(path), params, adam, mcfg, TrainConfig(), ["e"], ["r"], {}, {})
+            save_checkpoint(str(path), ck)
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
@@ -478,7 +486,7 @@ class TestCheckpointContainer:
             adam.v[p.name][...] = fill.random(p.data.shape)
         adam.step = 4
         path = tmp_path / "c.bin"
-        save_checkpoint(str(path), params, adam, mcfg, TrainConfig(), ["e"], ["r"], {}, {})
+        save_checkpoint(str(path), Checkpoint(mcfg, TrainConfig(), params, adam, ["e"], ["r"], {}, {}))
 
         def no_draws(*args, **kwargs):
             raise AssertionError("load_checkpoint drew from an RNG")
@@ -501,8 +509,8 @@ class TestCheckpointContainer:
         params = ModelParams(mcfg, 4, np.random.default_rng(8))
         adam = AdamState(params.parameters())
         path = tmp_path / "c.bin"
-        save_checkpoint(str(path), params, adam, mcfg, TrainConfig(), ["e"], ["r"],
-                        {}, {"epoch": 0, "best": {"mrr": -1, "epoch": 0}, "evals_since_best": 0})
+        tstate = {"epoch": 0, "best": {"mrr": -1, "epoch": 0}, "evals_since_best": 0}
+        save_checkpoint(str(path), Checkpoint(mcfg, TrainConfig(), params, adam, ["e"], ["r"], {}, tstate))
         ck = load_checkpoint(str(path))
         for p in params.parameters():
             np.testing.assert_array_equal(ck.params.by_name()[p.name].data, p.data)
@@ -554,7 +562,8 @@ def trained_state(precision, num_relations=6, hidden_dim=8, seed=9):
 @pytest.mark.parametrize("precision", ["float32", "float64"])
 class TestCheckpointIO:
     def save(self, path, mcfg, params, adam):
-        save_checkpoint(str(path), params, adam, mcfg, TrainConfig(), ["e0", "e1"], ["r0"], {}, {"epoch": 1})
+        save_checkpoint(str(path), Checkpoint(mcfg, TrainConfig(), params, adam, ["e0", "e1"], ["r0"], {},
+                                              {"epoch": 1}))
 
     def test_save_matches_reference_writer(self, tmp_path, precision):
         mcfg, params, adam = trained_state(precision)
