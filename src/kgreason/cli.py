@@ -181,6 +181,8 @@ def cmd_train(args) -> int:
         raise UserError("no dataset path configured")
     dataset = _load_dataset(dataset_settings.path, dataset_settings.mode)
     check_train_settings(dataset, settings["training"])
+    if run.verbosity not in ("info", "quiet"):
+        raise UserError(f"run.verbosity must be info or quiet, got {run.verbosity!r}")
     resume = None
     if args.resume:
         resume = load_checkpoint(args.resume)
@@ -313,7 +315,15 @@ def _toy_graph_and_model(seed: int = 0):
     return graph, config, params
 
 
+# Least value of each numeric diagnose flag, by name; an unset --rounds means "until stable".
+DIAGNOSE_FLOORS = {"samples": 0, "dim": 1, "seed": 0, "rounds": 1, "top": 1, "reps": 1}
+
+
 def cmd_diagnose(args) -> int:
+    for name, least in DIAGNOSE_FLOORS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise UserError(f"--{name} must be at least {least}, got {value}")
     if args.subcommand == "kernel-error":
         worst, bound, analytic_sup = kernel_error_sweep(args.samples, args.dim, args.seed)
         ok = worst <= bound
@@ -353,8 +363,6 @@ def cmd_diagnose(args) -> int:
         return 0
 
     if args.subcommand == "attention":
-        if args.top < 1:
-            raise UserError(f"--top must be at least 1, got {args.top}")
         ck, graph, entity_vocab, query = _inference_query(args)
         config = pin_noise(ck.model_config, args.noise_seed)
         state = ForwardState()

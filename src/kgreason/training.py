@@ -97,18 +97,14 @@ def negative_sampling_loss(tape: Tape, scores: Tensor, gold: int, negatives: np.
 class AdamState:
     """First/second moment accumulators plus the shared step counter.
 
-    ``m`` and ``v`` hold moments to continue from, by parameter name; a
-    parameter without one starts at zero.
+    Moments start at zero unless ``m`` and ``v`` give every parameter's, by
+    name, to continue from.
     """
 
     def __init__(self, params: Sequence[Parameter], m: Optional[dict] = None, v: Optional[dict] = None,
                  step: int = 0):
-        def moments(given):
-            given = given or {}
-            return {p.name: given[p.name] if p.name in given else np.zeros_like(p.data) for p in params}
-
-        self.m = moments(m)
-        self.v = moments(v)
+        self.m = {p.name: np.zeros_like(p.data) for p in params} if m is None else m
+        self.v = {p.name: np.zeros_like(p.data) for p in params} if v is None else v
         self.step = step
 
 
@@ -150,10 +146,9 @@ _RETIRED = {
 }
 
 
-# Keys every header carries, and every entry of its ``tensors`` list.
+# Keys every header carries.
 _HEADER_KEYS = ("format_version", "config_digest", "model_config", "train_config", "num_relations",
                 "adam_step", "entity_tokens", "relation_tokens", "rng", "training_state", "tensors")
-_TENSOR_KEYS = ("name", "role", "shape", "dtype", "offset", "nbytes")
 
 
 def _config_digest(model_section: dict, train_section: dict) -> str:
@@ -170,6 +165,25 @@ def _restore_rng(state: dict) -> np.random.Generator:
     gen = np.random.Generator(np.random.PCG64())
     gen.bit_generator.state = state
     return gen
+
+
+def _tensor_table(params: ModelParams) -> list:
+    """The header's ``tensors`` list for a checkpoint of ``params``: the one layout there is.
+
+    Every parameter in ``parameters()`` order, then its ``adam_m`` moment in
+    that order, then its ``adam_v``; back to back from offset 0, all in the
+    model's dtype.
+    """
+    dtype = np.dtype(params.config.dtype)
+    dtype_name, itemsize = dtype.name, dtype.itemsize
+    sized = [(p.name, list(p.data.shape), p.data.size * itemsize) for p in params.parameters()]
+    table, offset = [], 0
+    for role in ("param", "adam_m", "adam_v"):
+        for name, shape, nbytes in sized:
+            table.append({"name": name, "role": role, "shape": shape, "dtype": dtype_name,
+                          "offset": offset, "nbytes": nbytes})
+            offset += nbytes
+    return table
 
 
 @dataclass
@@ -190,35 +204,17 @@ def save_checkpoint(path: str, ck: Checkpoint) -> None:
     """Write ``ck`` as the documented binary container: magic, JSON header, raw payload.
 
     ``ck`` is what ``load_checkpoint`` returns, so ``save_checkpoint(p2,
-    load_checkpoint(p1))`` writes the bytes of ``p1`` again. Tensors are
-    serialized little-endian in parameter order, the parameters first, then
-    the two Adam moments; each is written straight from its array. The
-    header is canonical JSON (sorted keys). The file is written beside
-    ``path`` and renamed over it, so a save that fails partway leaves the
-    previous file intact.
+    load_checkpoint(p1))`` writes the bytes of ``p1`` again. The header's
+    ``tensors`` list is ``_tensor_table(ck.params)``, and the payload is its
+    arrays in that order, little-endian, each written straight from its
+    array. The header is canonical JSON (sorted keys). The file is written
+    beside ``path`` and renamed over it, so a save that fails partway leaves
+    the previous file intact.
     """
     params, adam = ck.params, ck.adam
-    tensors = []
-    arrays = []
-    offset = 0
-
-    def push(name, role, arr):
-        nonlocal offset
-        wire = np.ascontiguousarray(arr).astype("<f8" if arr.dtype == np.float64 else "<f4", copy=False)
-        tensors.append({
-            "name": name, "role": role, "shape": list(arr.shape),
-            "dtype": str(arr.dtype), "offset": offset, "nbytes": wire.nbytes,
-        })
-        arrays.append(wire)
-        offset += wire.nbytes
-
-    for p in params.parameters():
-        push(p.name, "param", p.data)
-    for p in params.parameters():
-        push(p.name, "adam_m", adam.m[p.name])
-    for p in params.parameters():
-        push(p.name, "adam_v", adam.v[p.name])
-
+    plist = params.parameters()
+    wire = np.dtype(params.config.dtype).newbyteorder("<")
+    arrays = [p.data for p in plist] + [adam.m[p.name] for p in plist] + [adam.v[p.name] for p in plist]
     header = {
         "format_version": _FORMAT_VERSION,
         "config_digest": _config_digest(asdict(ck.model_config), asdict(ck.train_config)),
@@ -230,7 +226,7 @@ def save_checkpoint(path: str, ck: Checkpoint) -> None:
         "relation_tokens": list(ck.relation_tokens),
         "rng": ck.rng_states,
         "training_state": ck.training_state,
-        "tensors": tensors,
+        "tensors": _tensor_table(params),
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     tmp = path + ".tmp"
@@ -239,8 +235,8 @@ def save_checkpoint(path: str, ck: Checkpoint) -> None:
             fh.write(_MAGIC)
             fh.write(len(head).to_bytes(8, "little"))
             fh.write(head)
-            for wire in arrays:
-                fh.write(wire)
+            for arr in arrays:
+                fh.write(np.ascontiguousarray(arr, dtype=wire))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -262,11 +258,7 @@ def _header_settings(path: str, header: dict, key: str, cls):
 
 
 def _read_header(path: str, fh) -> dict:
-    """The checked JSON header of an open checkpoint, leaving ``fh`` at the payload.
-
-    The payload must be exactly as long as the header's tensors, which the
-    file's size shows without reading it.
-    """
+    """The JSON header of an open checkpoint, its keys and digest checked, leaving ``fh`` at the payload."""
     magic = fh.read(len(_MAGIC))
     head_len = int.from_bytes(fh.read(8), "little")
     head = fh.read(head_len)
@@ -283,77 +275,74 @@ def _read_header(path: str, fh) -> dict:
     if "format_version" in header and header["format_version"] != _FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint format {header['format_version']!r}")
     absent = [key for key in _HEADER_KEYS if key not in header]
-    absent += [f"tensors[{i}].{key}" for i, entry in enumerate(header.get("tensors", []))
-               for key in _TENSOR_KEYS if key not in entry]
     if absent:
         raise CheckpointError(f"{path}: checkpoint header lacks {', '.join(absent)}")
     if header["config_digest"] != _config_digest(header["model_config"], header["train_config"]):
         raise CheckpointError(f"{path}: config_digest does not match the header's "
                               "model_config and train_config")
-    total = sum(entry["nbytes"] for entry in header["tensors"])
-    if os.fstat(fh.fileno()).st_size - fh.tell() != total:
-        raise CheckpointError(f"{path}: truncated checkpoint: payload size differs from the header's")
-    for entry in header["tensors"]:
-        if entry["role"] not in ("param", "adam_m", "adam_v") or entry["dtype"] not in ("float64", "float32"):
-            raise CheckpointError(f"{path}: tensor {entry['name']!r} has role {entry['role']!r} and "
-                                  f"dtype {entry['dtype']!r}; a checkpoint stores float params and moments")
-        if entry["nbytes"] != math.prod(entry["shape"]) * np.dtype(entry["dtype"]).itemsize:
-            raise CheckpointError(f"{path}: tensor {entry['name']!r} has {entry['nbytes']} bytes, "
-                                  f"not the {entry['shape']} {entry['dtype']} its shape needs")
-        if not 0 <= entry["offset"] <= total - entry["nbytes"]:
-            raise CheckpointError(f"{path}: tensor {entry['name']!r} at offset {entry['offset']} "
-                                  "lies outside the payload")
+    if not isinstance(header["relation_tokens"], list):
+        raise CheckpointError(f"{path}: checkpoint relation_tokens is not a list")
+    if header["num_relations"] != 2 * len(header["relation_tokens"]):
+        raise CheckpointError(f"{path}: num_relations = {header['num_relations']!r}, but the header's "
+                              f"relation_tokens and their inverses make {2 * len(header['relation_tokens'])}")
     return header
-
-
-_MISSING = np.empty((0, 0))  # stands in for a parameter the file lacks or misshapes, until that is reported
 
 
 def load_checkpoint(path: str, *, moments: bool = True) -> Checkpoint:
     """Restore a checkpoint; with ``moments=False``, only what inference reads.
 
-    The payload is read into one buffer and every tensor is a writable view
-    of it, so nothing is copied on a little-endian host. ``moments=False``
-    reads the parameter section only (``save_checkpoint`` writes it first):
-    the parameters get no gradient buffers and ``adam`` is ``None``.
-    Otherwise gradients are zero buffers and ``adam`` holds the moments.
+    The header must list exactly ``_tensor_table`` of the model it records,
+    entry for entry, and its ``num_relations`` must count each relation token
+    and its inverse; anything else is refused before a tensor is read. The
+    payload is read into one buffer and every tensor is a writable view of
+    it, so nothing is copied on a little-endian host. ``moments=False``
+    reads the parameter section only (it comes first): the parameters get
+    no gradient buffers and ``adam`` is ``None``. Otherwise gradients are
+    zero buffers and ``adam`` holds the moments.
     """
     try:
         with open(path, "rb") as fh:
             header = _read_header(path, fh)
-            entries = [entry for entry in header["tensors"] if moments or entry["role"] == "param"]
-            buf = bytearray(max((entry["offset"] + entry["nbytes"] for entry in entries), default=0))
+            model_config = _header_settings(path, header, "model_config", ModelConfig)
+            train_config = _header_settings(path, header, "train_config", TrainConfig)
+            # stand-ins over one element give the layout; the payload's views replace them below
+            one = np.zeros(1, model_config.dtype)
+            params = ModelParams(model_config, 2 * len(header["relation_tokens"]), grads=moments,
+                                 source=lambda name, shape: np.ndarray(shape, one.dtype, one, strides=(0, 0)))
+            table = _tensor_table(params)
+            tensors = header["tensors"]
+            if not isinstance(tensors, list) or len(tensors) != len(table):
+                count = len(tensors) if isinstance(tensors, list) else "no"
+                raise CheckpointError(f"{path}: checkpoint header lists {count} tensors; "
+                                      f"the model layout has {len(table)}")
+            for i, (got, want) in enumerate(zip(tensors, table)):
+                if got != want:
+                    got = got if isinstance(got, dict) else {}
+                    key = next(k for k in {**want, **got}
+                               if (k in got, got.get(k)) != (k in want, want.get(k)))
+                    shown = [repr(entry[key]) if key in entry else "none" for entry in (got, want)]
+                    raise CheckpointError(f"{path}: tensor {i} ({want['name']!r}) has {key} {shown[0]}; "
+                                          f"the model layout needs {shown[1]}")
+            size = table[-1]["offset"] + table[-1]["nbytes"]
+            if os.fstat(fh.fileno()).st_size - fh.tell() != size:
+                raise CheckpointError(f"{path}: truncated checkpoint: payload size differs from the header's")
+            plist = params.parameters()
+            entries = table if moments else table[:len(plist)]
+            buf = bytearray(entries[-1]["offset"] + entries[-1]["nbytes"])
             if fh.readinto(buf) != len(buf):
                 raise CheckpointError(f"{path}: truncated checkpoint: payload size differs from the header's")
     except OSError as exc:
         raise CheckpointError(f"{path}: cannot read checkpoint: {exc.strerror}") from None
-    model_config = _header_settings(path, header, "model_config", ModelConfig)
-    train_config = _header_settings(path, header, "train_config", TrainConfig)
-    loaded = {"param": {}, "adam_m": {}, "adam_v": {}}
-    for entry in entries:
-        wire = "<f8" if entry["dtype"] == "float64" else "<f4"
-        arr = np.frombuffer(buf, wire, math.prod(entry["shape"]), entry["offset"])
-        loaded[entry["role"]][entry["name"]] = arr.reshape(entry["shape"]).astype(entry["dtype"], copy=False)
-    layout = {}
-
-    def take(name, shape):
-        layout[name] = shape
-        arr = loaded["param"].get(name)
-        return arr if arr is not None and arr.shape == shape else _MISSING
-
-    params = ModelParams(model_config, header["num_relations"], source=take, grads=moments)
-    for entry in header["tensors"]:
-        if entry["name"] not in layout:
-            raise CheckpointError(f"{path}: checkpoint tensor {entry['name']!r} not in model layout")
-        if tuple(entry["shape"]) != layout[entry["name"]]:
-            raise CheckpointError(f"{path}: tensor {entry['name']!r} has shape {entry['shape']}; "
-                                  f"the model layout needs {list(layout[entry['name']])}")
-    missing = set(layout) - set(loaded["param"])
-    if missing:
-        raise CheckpointError(f"{path}: checkpoint missing tensors: {sorted(missing)[:5]}")
+    wire = np.dtype(model_config.dtype).newbyteorder("<")
+    arrays = [np.frombuffer(buf, wire, math.prod(entry["shape"]), entry["offset"])
+              .reshape(entry["shape"]).astype(model_config.dtype, copy=False) for entry in entries]
+    for p, arr in zip(plist, arrays):
+        p.data = arr
     adam = None
     if moments:
-        adam = AdamState(params.parameters(), loaded["adam_m"], loaded["adam_v"], header["adam_step"])
+        names, n = [p.name for p in plist], len(plist)
+        adam = AdamState(plist, dict(zip(names, arrays[n:2 * n])), dict(zip(names, arrays[2 * n:])),
+                         header["adam_step"])
     return Checkpoint(model_config, train_config, params, adam, header["entity_tokens"],
                       header["relation_tokens"], header["rng"], header["training_state"])
 

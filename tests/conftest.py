@@ -8,6 +8,7 @@ import pytest
 
 from kgreason.data import Query, Triplet, build_graph
 from kgreason.model import ModelConfig, ModelParams
+from kgreason.training import AdamState, load_checkpoint
 
 
 def make_config(**overrides) -> ModelConfig:
@@ -98,6 +99,59 @@ def set_header(path, section: str, key: str, value) -> None:
         header["config_digest"] = hashlib.sha256(blob.encode()).hexdigest()
 
     rewrite_header(path, edit)
+
+
+def reference_save(path, params, adam, mcfg, tcfg, entity_tokens, relation_tokens, rngs, tstate):
+    """The container as first specified: each tensor's little-endian bytes joined after the header."""
+    tensors, blobs, offset = [], [], 0
+    for role in ("param", "adam_m", "adam_v"):
+        for p in params.parameters():
+            arr = p.data if role == "param" else getattr(adam, role[-1])[p.name]
+            raw = arr.astype("<f8" if arr.dtype == np.float64 else "<f4").tobytes()
+            tensors.append({"name": p.name, "role": role, "shape": list(arr.shape), "dtype": str(arr.dtype),
+                            "offset": offset, "nbytes": len(raw)})
+            blobs.append(raw)
+            offset += len(raw)
+    model, train_ = vars(mcfg).copy(), vars(tcfg).copy()
+    digest = hashlib.sha256(json.dumps({"model": model, "train": train_}, sort_keys=True).encode()).hexdigest()
+    header = {"format_version": 1, "config_digest": digest, "model_config": model, "train_config": train_,
+              "num_relations": params.num_relations, "adam_step": adam.step,
+              "entity_tokens": list(entity_tokens), "relation_tokens": list(relation_tokens),
+              "rng": rngs, "training_state": tstate, "tensors": tensors}
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    with open(path, "wb") as fh:
+        fh.write(b"KGRCKPT1" + len(head).to_bytes(8, "little") + head + b"".join(blobs))
+
+
+# Headers that list another layout than the writer's, each with the message that refuses it.
+LAYOUT_FAULTS = {
+    "aliased-offsets": r"tensor \d+ \('layer0\.head0\.query\.rel_b'\) has offset 0; the model layout needs",
+    "dropped-moment": r"checkpoint header lists \d+ tensors; the model layout has \d+",
+    "mixed-dtype": r"tensor \d+ \('relations'\) has dtype 'float\d+'; the model layout needs 'float\d+'",
+    "relation-count": r"num_relations = \d+, but the header's relation_tokens and their inverses make \d+",
+}
+
+
+def damage_layout(path, fault: str) -> None:
+    """Give the checkpoint at ``path`` one of ``LAYOUT_FAULTS``, as a faulty writer would."""
+    if fault == "aliased-offsets":  # a tensor shaped like ``relations`` pointed at its bytes
+        def alias(header):
+            next(e for e in header["tensors"] if e["name"] == "layer0.head0.query.rel_b").update(offset=0)
+        rewrite_header(path, alias)
+    elif fault == "dropped-moment":  # the last moment's entry gone, and its bytes with it
+        dropped = []
+        rewrite_header(path, lambda h: dropped.append(h["tensors"].pop()))
+        path.write_bytes(path.read_bytes()[:-dropped[0]["nbytes"]])
+    elif fault == "mixed-dtype":  # one moment written in the other float width
+        ck = load_checkpoint(str(path))
+        m = dict(ck.adam.m)
+        other = np.float32 if m["relations"].dtype == np.float64 else np.float64
+        m["relations"] = m["relations"].astype(other)
+        reference_save(path, ck.params, AdamState(ck.params.parameters(), m, ck.adam.v, ck.adam.step),
+                       ck.model_config, ck.train_config, ck.entity_tokens, ck.relation_tokens,
+                       ck.rng_states, ck.training_state)
+    else:  # one relation token more than the tensors were built for
+        rewrite_header(path, lambda h: h["relation_tokens"].append("extra"))
 
 
 @pytest.fixture

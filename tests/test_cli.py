@@ -3,10 +3,11 @@
 import glob
 import json
 import os
+import re
 
 import pytest
 
-from conftest import rewrite_header, set_header
+from conftest import LAYOUT_FAULTS, damage_layout, rewrite_header, set_header
 from kgreason.cli import load_run_config, main, UserError
 from kgreason.training import load_checkpoint
 
@@ -395,7 +396,7 @@ class TestEvalPredictCommands:
         (lambda h: h.pop("adam_step"), "checkpoint header lacks adam_step"),
         (lambda h: h.update(config_digest="0" * 64), "config_digest does not match"),
         (lambda h: h.update(format_version=2), "unsupported checkpoint format 2"),
-        (lambda h: h["tensors"][0].update(name="bogus"), "tensor 'bogus' not in model layout"),
+        (lambda h: h["tensors"][0].update(name="bogus"), "has name 'bogus'; the model layout needs 'relations'"),
         (lambda h: h["tensors"][0].update(role="grad"), "has role 'grad'"),
         (lambda h: h["tensors"][0].update(dtype="int64"), "dtype 'int64'"),
         (None, "not a checkpoint file"),
@@ -410,6 +411,23 @@ class TestEvalPredictCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {trained}: ") and message in err
+
+    @pytest.mark.parametrize("command", ["eval", "predict", "resume"])
+    @pytest.mark.parametrize("fault", sorted(LAYOUT_FAULTS))
+    def test_layout_fault_exits_2(self, trained, toy_config, toy_data, tmp_path, fault, command, capsys):
+        damage_layout(trained, fault)
+        source = ["--checkpoint", str(trained), "--data", str(toy_data)]
+        argv = {"eval": ["eval", *source],
+                "predict": ["predict", *source, "--head", "a", "--relation", "r0"],
+                "resume": ["train", "--config", str(toy_config), "--resume", str(trained),
+                           "--out", str(tmp_path / "resumed")]}[command]
+        capsys.readouterr()  # drop the fixture's training output
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"error: {re.escape(str(trained))}: {LAYOUT_FAULTS[fault]}.*",
+                            captured.err.splitlines()[-1])
+        assert not (tmp_path / "resumed").exists()
 
     @pytest.mark.parametrize("keep", [lambda blob: blob[:len(blob) // 2], lambda blob: blob[:-8]],
                              ids=["half", "last-8-bytes-cut"])
@@ -511,3 +529,25 @@ class TestDiagnoseCommands:
         grids = json.loads(capsys.readouterr().out)
         assert grids["model"]["hidden_dim"] == [16, 32, 64]
         assert 64 in grids["training"]["num_negatives"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--set", "run.verbosity=loud"], "run.verbosity must be info or quiet, got 'loud'"),
+    (["diagnose", "kernel-error", "--samples", "-1"], "--samples must be at least 0, got -1"),
+    (["diagnose", "kernel-error", "--dim", "0"], "--dim must be at least 1, got 0"),
+    (["diagnose", "kernel-error", "--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["diagnose", "gradcheck", "--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["diagnose", "scaling", "--reps", "0"], "--reps must be at least 1, got 0"),
+    (["diagnose", "scaling", "--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["diagnose", "scaling", "--dim", "0"], "--dim must be at least 1, got 0"),
+    (["diagnose", "wl", "--rounds", "0"], "--rounds must be at least 1, got 0"),
+    (["diagnose", "wl", "--rounds", "-2"], "--rounds must be at least 1, got -2"),
+], ids=["verbosity", "kernel-error-samples", "kernel-error-dim", "kernel-error-seed", "gradcheck-seed",
+        "scaling-reps", "scaling-seed", "scaling-dim", "wl-rounds-0", "wl-rounds-negative"])
+def test_out_of_range_setting_exits_2(toy_config, toy_data, tmp_path, argv, message, capsys):
+    inputs = {"train": ["--config", str(toy_config)], "wl": ["--data", str(toy_data), "--head", "a"]}
+    command = argv[:2] if argv[0] == "diagnose" else argv[:1]
+    assert main([*command, *inputs.get(command[-1], []), *argv[len(command):]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines()[-1] == "error: " + message
+    assert not (tmp_path / "run").exists()  # a refused train writes no output directory

@@ -1,13 +1,14 @@
 """Sampling, loss, optimizer, loop-determinism, split-builder and checkpoint tests."""
 
-import hashlib
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import make_config, rewrite_header, set_header
+from conftest import (
+    LAYOUT_FAULTS, damage_layout, make_config, reference_save, rewrite_header, set_header,
+)
 from kgreason.autodiff import Parameter, Tape, grad_check
 from kgreason.data import DatasetSplit, Triplet, Vocabulary
 from kgreason.model import ModelConfig, ModelParams
@@ -362,7 +363,8 @@ class TestCheckpointContainer:
                 "noise": rng_stream(1, "noise").bit_generator.state}
         tstate = {"epoch": 2, "best": {"mrr": 0.5, "epoch": 1}, "evals_since_best": 1}
         p1 = tmp_path / "a.bin"
-        save_checkpoint(str(p1), Checkpoint(mcfg, TrainConfig(), params, adam, ["e0"], ["r0"], rngs, tstate))
+        save_checkpoint(str(p1), Checkpoint(mcfg, TrainConfig(), params, adam, ["e0"], ["r0", "r1"], rngs,
+                                              tstate))
         p2 = tmp_path / "b.bin"
         save_checkpoint(str(p2), load_checkpoint(str(p1)))
         assert p1.read_bytes() == p2.read_bytes()
@@ -395,7 +397,7 @@ class TestCheckpointContainer:
         params = ModelParams(mcfg, 4, np.random.default_rng(8))
         path = tmp_path / "c.bin"
         save_checkpoint(str(path), Checkpoint(mcfg, TrainConfig(), params, AdamState(params.parameters()),
-                                              ["e"], ["r"], {}, {}))
+                                              ["e"], ["r", "s"], {}, {}))
         pristine = path.read_bytes()
         for section, keys in retired.items():
             for key, value in keys.items():
@@ -416,7 +418,7 @@ class TestCheckpointContainer:
         params = ModelParams(mcfg, 4, np.random.default_rng(8))
         path = tmp_path / "c.bin"
         save_checkpoint(str(path), Checkpoint(mcfg, TrainConfig(), params, AdamState(params.parameters()),
-                                              ["e"], ["r"], {}, {}))
+                                              ["e"], ["r", "s"], {}, {}))
         blob = path.read_bytes()
         head_len = int.from_bytes(blob[8:16], "little")
         cases = {
@@ -431,7 +433,7 @@ class TestCheckpointContainer:
         path.write_bytes(blob)
         first = json.loads(blob[16:16 + head_len])["tensors"][0]
         set_header(path, "tensors", 0, {**first, "shape": [first["shape"][0] + 1, first["shape"][1]]})
-        with pytest.raises(CheckpointError, match="its shape needs"):
+        with pytest.raises(CheckpointError, match="has shape \\[5, 8\\]; the model layout needs \\[4, 8\\]"):
             load_checkpoint(str(path))
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
@@ -439,7 +441,7 @@ class TestCheckpointContainer:
         params = ModelParams(mcfg, 4, np.random.default_rng(8))
         adam = AdamState(params.parameters())
         path = tmp_path / "checkpoint.bin"
-        ck = Checkpoint(mcfg, TrainConfig(), params, adam, ["e"], ["r"], {}, {})
+        ck = Checkpoint(mcfg, TrainConfig(), params, adam, ["e"], ["r", "s"], {}, {})
         save_checkpoint(str(path), ck)
         before = path.read_bytes()
         saved = {p.name: p.data.copy() for p in params.parameters()}
@@ -486,7 +488,8 @@ class TestCheckpointContainer:
             adam.v[p.name][...] = fill.random(p.data.shape)
         adam.step = 4
         path = tmp_path / "c.bin"
-        save_checkpoint(str(path), Checkpoint(mcfg, TrainConfig(), params, adam, ["e"], ["r"], {}, {}))
+        save_checkpoint(str(path), Checkpoint(mcfg, TrainConfig(), params, adam, ["e"], ["r", "s", "t"], {},
+                                              {}))
 
         def no_draws(*args, **kwargs):
             raise AssertionError("load_checkpoint drew from an RNG")
@@ -510,7 +513,8 @@ class TestCheckpointContainer:
         adam = AdamState(params.parameters())
         path = tmp_path / "c.bin"
         tstate = {"epoch": 0, "best": {"mrr": -1, "epoch": 0}, "evals_since_best": 0}
-        save_checkpoint(str(path), Checkpoint(mcfg, TrainConfig(), params, adam, ["e"], ["r"], {}, tstate))
+        save_checkpoint(str(path), Checkpoint(mcfg, TrainConfig(), params, adam, ["e"], ["r", "s"], {},
+                                              tstate))
         ck = load_checkpoint(str(path))
         for p in params.parameters():
             np.testing.assert_array_equal(ck.params.by_name()[p.name].data, p.data)
@@ -524,29 +528,7 @@ def buffer_owner(arr):
     return arr.obj if isinstance(arr, memoryview) else arr
 
 
-def reference_save(path, params, adam, mcfg, tcfg, entity_tokens, relation_tokens, rngs, tstate):
-    """The container as first specified: each tensor's little-endian bytes joined after the header."""
-    tensors, blobs, offset = [], [], 0
-    for role in ("param", "adam_m", "adam_v"):
-        for p in params.parameters():
-            arr = p.data if role == "param" else getattr(adam, role[-1])[p.name]
-            raw = arr.astype("<f8" if arr.dtype == np.float64 else "<f4").tobytes()
-            tensors.append({"name": p.name, "role": role, "shape": list(arr.shape), "dtype": str(arr.dtype),
-                            "offset": offset, "nbytes": len(raw)})
-            blobs.append(raw)
-            offset += len(raw)
-    model, train_ = vars(mcfg).copy(), vars(tcfg).copy()
-    digest = hashlib.sha256(json.dumps({"model": model, "train": train_}, sort_keys=True).encode()).hexdigest()
-    header = {"format_version": 1, "config_digest": digest, "model_config": model, "train_config": train_,
-              "num_relations": params.num_relations, "adam_step": adam.step,
-              "entity_tokens": list(entity_tokens), "relation_tokens": list(relation_tokens),
-              "rng": rngs, "training_state": tstate, "tensors": tensors}
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(b"KGRCKPT1" + len(head).to_bytes(8, "little") + head + b"".join(blobs))
-
-
-def trained_state(precision, num_relations=6, hidden_dim=8, seed=9):
+def trained_state(precision, num_relations=2, hidden_dim=8, seed=9):
     """Seeded parameters and non-trivial Adam moments of a small model."""
     mcfg = ModelConfig(hidden_dim=hidden_dim, attention_layers=2, query_layers=2, value_layers=2,
                        precision=precision)
@@ -562,7 +544,8 @@ def trained_state(precision, num_relations=6, hidden_dim=8, seed=9):
 @pytest.mark.parametrize("precision", ["float32", "float64"])
 class TestCheckpointIO:
     def save(self, path, mcfg, params, adam):
-        save_checkpoint(str(path), Checkpoint(mcfg, TrainConfig(), params, adam, ["e0", "e1"], ["r0"], {},
+        tokens = [f"r{i}" for i in range(params.num_relations // 2)]
+        save_checkpoint(str(path), Checkpoint(mcfg, TrainConfig(), params, adam, ["e0", "e1"], tokens, {},
                                               {"epoch": 1}))
 
     def test_save_matches_reference_writer(self, tmp_path, precision):
@@ -615,15 +598,21 @@ class TestCheckpointIO:
         self.save(path, mcfg, params, adam)
         pristine = path.read_bytes()
         faults = {
-            "shape \\[8, 6\\]; the model layout needs \\[6, 8\\]":
+            "shape \\[8, 2\\]; the model layout needs \\[2, 8\\]":
                 lambda h: h["tensors"][0].update(shape=h["tensors"][0]["shape"][::-1]),
             "shape \\[1, 6, 8\\]; the model layout needs": lambda h: h["tensors"][0].update(shape=[1, 6, 8]),
-            "lies outside the payload": lambda h: h["tensors"][-1].update(offset=h["tensors"][-1]["offset"] + 4),
-            "checkpoint missing tensors: \\['relations'\\]": lambda h: h["tensors"][0].update(role="adam_m"),
+            "has offset \\d+; the model layout needs \\d+":
+                lambda h: h["tensors"][-1].update(offset=h["tensors"][-1]["offset"] + 4),
+            "tensor 0 \\('relations'\\) has role 'adam_m'; the model layout needs 'param'":
+                lambda h: h["tensors"][0].update(role="adam_m"),
         }
-        for message, edit in faults.items():
+        damages = [(message, lambda edit=edit: rewrite_header(path, edit))
+                   for message, edit in faults.items()]
+        damages += [(message, lambda fault=fault: damage_layout(path, fault))
+                    for fault, message in LAYOUT_FAULTS.items()]
+        for message, damage in damages:
             path.write_bytes(pristine)
-            rewrite_header(path, edit)
+            damage()
             for moments in (True, False):
                 with pytest.raises(CheckpointError, match=message):
                     load_checkpoint(str(path), moments=moments)
