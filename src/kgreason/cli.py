@@ -30,8 +30,8 @@ from .data import (
 from .data import load_triplets, make_queries, query_filters  # noqa: F401
 from .evaluation import evaluate
 from .model import (
-    ConfigError, ModelConfig, ModelParams, dense_attention_oracle, forward, ForwardState, pin_noise,
-    score_query,
+    ConfigError, DenseScopeError, ModelConfig, ModelParams, dense_attention_oracle, forward, ForwardState,
+    pin_noise, score_query,
 )
 from .training import (
     CheckpointError, TrainConfig, check_resume, check_train_settings, load_checkpoint,
@@ -180,7 +180,7 @@ def cmd_train(args) -> int:
     if not dataset_settings.path:
         raise UserError("no dataset path configured")
     dataset = _load_dataset(dataset_settings.path, dataset_settings.mode)
-    check_train_settings(dataset, settings["training"])
+    check_train_settings(dataset, settings["model"], settings["training"])
     if run.verbosity not in ("info", "quiet"):
         raise UserError(f"run.verbosity must be info or quiet, got {run.verbosity!r}")
     resume = None
@@ -219,6 +219,8 @@ def cmd_eval(args) -> int:
     ck, dataset = _restore_for_inference(args)
     graph, entity_vocab = split_graph(dataset, args.split)
     [queries] = split_queries(dataset, args.split)
+    if not queries:
+        raise UserError(f"{os.path.join(args.data, args.split + '.txt')}: no facts to evaluate")
     t0 = time.perf_counter()
     out = evaluate(graph, queries, ck.params, ck.model_config, noise_seed=args.noise_seed,
                    raw=args.raw, per_query=args.per_query)
@@ -396,8 +398,6 @@ def cmd_diagnose(args) -> int:
         print("PASS" if r2 >= 0.98 else "FAIL")
         return 0 if r2 >= 0.98 else 1
 
-    raise UserError(f"unknown diagnose subcommand {args.subcommand!r}")
-
 
 def scaling_measurements(sizes, dim=32, reps=3, seed=0):
     """Forward wall-clock on synthetic chains of each size, the fastest of ``reps``.
@@ -512,8 +512,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UserError, ConfigError, CheckpointError, DatasetError, ParseError, VocabularyError) as exc:
-        # bad configs, checkpoints, data files or tokens: all the operator's to fix
+    except (UserError, ConfigError, CheckpointError, DatasetError, DenseScopeError, ParseError,
+            VocabularyError) as exc:
+        # bad configs, checkpoints, data files or tokens, or a graph too large for dense
+        # attention: all the operator's to fix
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BrokenPipeError, KeyboardInterrupt):

@@ -8,9 +8,8 @@ File conventions: UTF-8 tab-separated ``head relation tail`` lines,
 
 from __future__ import annotations
 
-import operator
 import os
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -256,11 +255,6 @@ class KnowledgeGraph:
     def num_edges(self) -> int:
         return int(self.in_src.shape[0])
 
-    @property
-    def edges(self) -> list[Triplet]:
-        """Every fact, in index order."""
-        return list(map(Triplet, self.in_src.tolist(), self.in_rel.tolist(), self.in_tgt.tolist()))
-
     def _pack(self, heads, relations, tails):
         """The sort key of facts relation(head, tail): (tail, relation, head) packed into one integer."""
         return (tails * self.num_relations + relations) * self.num_entities + heads
@@ -354,13 +348,13 @@ def _query_rows(triplets, num_base_relations: int) -> np.ndarray:
     return both
 
 
-class QueryFilters(Mapping):
+class QueryFilters:
     """Known true tails per query (head, relation), read-only, as CSR arrays.
 
     ``packed`` holds the sorted distinct keys ``head * 2R + relation``;
     key ``i``'s distinct tails are ``tails[ptr[i]:ptr[i + 1]]``, ascending.
-    Each key's ``frozenset`` is built on first lookup and shared by every
-    later one, so no query holds its own copy.
+    ``slots`` finds keys; ``tails_at`` builds a key's ``frozenset`` on first
+    lookup and shares it with every later one, so no query holds its own copy.
     """
 
     def __init__(self, packed, ptr, tails, num_base_relations: int):
@@ -388,19 +382,6 @@ class QueryFilters(Mapping):
             tails = self._sets[slot] = frozenset(self.tails[self.ptr[slot]:self.ptr[slot + 1]].tolist())
         return tails
 
-    def __getitem__(self, key) -> frozenset:
-        head, relation = key
-        if head < 0 or not 0 <= relation < 2 * self.num_base_relations:
-            raise KeyError(key)
-        return self.tails_at(int(self.slots(np.array([head]), np.array([relation]))[0]))
-
-    def __iter__(self):
-        heads, relations = np.divmod(self.packed, 2 * self.num_base_relations)
-        return zip(heads.tolist(), relations.tolist())
-
-    def __len__(self) -> int:
-        return len(self.packed)
-
 
 class Queries(Sequence):
     """Read-only queries as arrays; a ``Query`` is made on access, its filter shared from ``filters``."""
@@ -419,11 +400,6 @@ class Queries(Sequence):
 
     def __iter__(self):
         return map(Query, *self._rows.T.tolist(), map(self._filters.tails_at, self._slots.tolist()))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 def make_queries(triplets, num_base_relations: int, filters: QueryFilters) -> Queries:
@@ -471,7 +447,6 @@ class DatasetSplit:
     must be a subset of them.
     """
 
-    name: str
     mode: str
     train: np.ndarray
     valid: np.ndarray
@@ -520,14 +495,11 @@ def load_dataset(path: str, mode: str = "auto", entity_vocab: Optional[Vocabular
 
     train, entity_vocab, relation_vocab = load_triplets(fname("train"), entity_vocab, relation_vocab)
     relation_vocab.frozen = True
-    if mode == "transductive":
-        valid, _, _ = load_triplets(fname("valid"), entity_vocab, relation_vocab)
-        test, _, _ = load_triplets(fname("test"), entity_vocab, relation_vocab)
-        return DatasetSplit(os.path.basename(os.path.normpath(path)), mode, train, valid, test,
-                            entity_vocab, relation_vocab)
     valid, _, _ = load_triplets(fname("valid"), entity_vocab, relation_vocab)
-    inference_vocab = Vocabulary()
-    inference, _, _ = load_triplets(fname("inference"), inference_vocab, relation_vocab)
-    test, _, _ = load_triplets(fname("test"), inference_vocab, relation_vocab)
-    return DatasetSplit(os.path.basename(os.path.normpath(path)), mode, train, valid, test,
-                        entity_vocab, relation_vocab, inference, inference_vocab)
+    inference = inference_vocab = None
+    if mode == "inductive":
+        inference_vocab = Vocabulary()
+        inference, _, _ = load_triplets(fname("inference"), inference_vocab, relation_vocab)
+    test, _, _ = load_triplets(fname("test"), entity_vocab if inference_vocab is None else inference_vocab,
+                               relation_vocab)
+    return DatasetSplit(mode, train, valid, test, entity_vocab, relation_vocab, inference, inference_vocab)

@@ -234,9 +234,6 @@ class ModelParams:
         out.extend(self.scorer.parameters())
         return out
 
-    def by_name(self) -> dict:
-        return {p.name: p for p in self.parameters()}
-
     def count(self) -> int:
         return sum(p.data.size for p in self.parameters())
 
@@ -325,7 +322,7 @@ def dense_attention(tape: Tape, ztilde: Tensor, zhat: Tensor, head: AttentionHea
     """Explicit |V| x |V| exponential-kernel attention (differentiable); the full-exponential route."""
     n = ztilde.shape[0]
     if n > DENSE_GUARD:
-        raise DenseScopeError(f"dense attention refused: {n} entities > guard {DENSE_GUARD}")
+        raise DenseScopeError(f"dense attention takes at most {DENSE_GUARD} entities; the graph has {n}")
     dt = ztilde.data.dtype
     q, k = _projected_qk(tape, ztilde, head)
     scores = tape.exp(tape.matmul(q, tape.transpose(k)))
@@ -348,7 +345,8 @@ def dense_attention_oracle(ztilde: np.ndarray, zhat: np.ndarray, head: Attention
     """
     n = ztilde.shape[0]
     if n > DENSE_GUARD:
-        raise DenseScopeError(f"oracle refused: {n} entities > guard {DENSE_GUARD}")
+        raise DenseScopeError(f"the dense attention oracle takes at most {DENSE_GUARD} entities; "
+                              f"the graph has {n}")
     q = _rownorm_np(ztilde @ head.w1.data + head.b1.data)
     k = _rownorm_np(ztilde @ head.w2.data + head.b2.data)
     s = q @ k.T
@@ -489,10 +487,8 @@ def forward(tape: Tape, graph: KnowledgeGraph, query: Query, params: ModelParams
 
 
 def score_query(graph: KnowledgeGraph, query: Query, params: ModelParams, config: ModelConfig,
-                noise: Optional[np.ndarray] = None, exclude_query_edge: bool = False, *,
-                query_side: Optional[QuerySide] = None) -> np.ndarray:
-    """Inference-only forward; returns a flat (|V|,) probability vector."""
+                noise: Optional[np.ndarray] = None, *, query_side: Optional[QuerySide] = None) -> np.ndarray:
+    """Inference-only forward over the whole graph; returns a flat (|V|,) probability vector."""
     tape = Tape(grad=False)
-    scores = forward(tape, graph, query, params, config, noise, exclude_query_edge,
-                     query_side=query_side)
+    scores = forward(tape, graph, query, params, config, noise, query_side=query_side)
     return scores.data[:, 0].copy()

@@ -31,6 +31,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 _STREAMS = {"init": 0, "shuffle": 1, "negatives": 2, "noise": 3}
+_RUN_STREAMS = ("shuffle", "negatives", "noise")   # the streams a run draws from after init
 
 
 class SamplingError(Exception):
@@ -280,8 +281,9 @@ def _read_header(path: str, fh) -> dict:
     if header["config_digest"] != _config_digest(header["model_config"], header["train_config"]):
         raise CheckpointError(f"{path}: config_digest does not match the header's "
                               "model_config and train_config")
-    if not isinstance(header["relation_tokens"], list):
-        raise CheckpointError(f"{path}: checkpoint relation_tokens is not a list")
+    for key in ("entity_tokens", "relation_tokens"):
+        if not isinstance(header[key], list) or not set(map(type, header[key])) <= {str}:
+            raise CheckpointError(f"{path}: checkpoint {key} is not a list of strings")
     if header["num_relations"] != 2 * len(header["relation_tokens"]):
         raise CheckpointError(f"{path}: num_relations = {header['num_relations']!r}, but the header's "
                               f"relation_tokens and their inverses make {2 * len(header['relation_tokens'])}")
@@ -393,11 +395,9 @@ def split_queries(dataset: DatasetSplit, *splits: str) -> list:
 @dataclass
 class TrainResult:
     params: ModelParams
-    adam: AdamState
     history: list
     best: dict
     checkpoint_path: Optional[str] = None
-    best_checkpoint_path: Optional[str] = None
 
 
 class _MetricsLog:
@@ -430,8 +430,8 @@ def _param_norms(params: ModelParams, worst: int = 5) -> str:
     return ", ".join(f"{name}={norm:.3e}" for norm, name in norms[:worst])
 
 
-def check_train_settings(dataset: DatasetSplit, train_config: TrainConfig) -> None:
-    """Refuse training settings the loop or the dataset cannot support (``train`` runs this first)."""
+def check_train_settings(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainConfig) -> None:
+    """Refuse settings the training loop or the dataset cannot support (``train`` runs this first)."""
     for key, least in (("batch_size", 1), ("eval_interval", 1), ("num_negatives", 0), ("seed", 0),
                        ("max_valid_queries", 0)):
         value = getattr(train_config, key)
@@ -441,6 +441,9 @@ def check_train_settings(dataset: DatasetSplit, train_config: TrainConfig) -> No
     if train_config.num_negatives >= num_entities:
         raise ConfigError(f"training.num_negatives = {train_config.num_negatives} needs more entities: "
                           f"the training graph has {num_entities}, and negatives exclude the gold")
+    if model_config.kernel_mode == "full_exponential" and num_entities > DENSE_GUARD:
+        raise ConfigError(f"model.kernel_mode = full_exponential runs dense attention on at most "
+                          f"{DENSE_GUARD} entities; the training graph has {num_entities}")
 
 
 def check_resume(ck: Checkpoint, model_config: ModelConfig, dataset: DatasetSplit,
@@ -450,8 +453,12 @@ def check_resume(ck: Checkpoint, model_config: ModelConfig, dataset: DatasetSpli
     It must have the requested architecture, hold its Adam moments, and
     have the dataset's relation vocabulary, id for id, since relation
     parameters are indexed by relation id. Entity tokens may differ: no
-    parameter belongs to an entity. ``kgreason train`` runs this before it
-    writes anything, and ``train`` runs it on the record it is given.
+    parameter belongs to an entity. The run state that neither the config
+    digest nor the tensor table covers must be usable too: ``adam_step`` and
+    the ``training_state`` counts integers >= 0, ``best.mrr`` a number, and
+    each ``rng`` stream of ``_RUN_STREAMS`` a PCG64 state.
+    ``kgreason train`` runs this before it writes anything, and ``train``
+    runs it on the record it is given.
     """
     if asdict(ck.model_config) != asdict(model_config):
         raise CheckpointError(
@@ -463,6 +470,22 @@ def check_resume(ck: Checkpoint, model_config: ModelConfig, dataset: DatasetSpli
             "parameters are indexed by relation id, so resuming would change what they mean")
     if ck.adam is None:
         raise CheckpointError(f"{source}: loaded without its Adam moments; a run resumes with them")
+    state = ck.training_state if isinstance(ck.training_state, dict) else {}
+    best = state.get("best") if isinstance(state.get("best"), dict) else {}
+    counts = {"adam_step": ck.adam.step, "training_state.epoch": state.get("epoch"),
+              "training_state.best.epoch": best.get("epoch"),
+              "training_state.evals_since_best": state.get("evals_since_best")}
+    for key, value in counts.items():
+        if type(value) is not int or value < 0:
+            raise CheckpointError(f"{source}: checkpoint {key} is {value!r}; a resume needs an integer >= 0")
+    if type(best.get("mrr")) not in (int, float):
+        raise CheckpointError(f"{source}: checkpoint training_state.best.mrr is {best.get('mrr')!r}; "
+                              "a resume needs a number")
+    for name in _RUN_STREAMS:
+        try:
+            _restore_rng(ck.rng_states[name])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise CheckpointError(f"{source}: checkpoint rng.{name} is not a PCG64 generator state") from None
 
 
 def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainConfig,
@@ -477,7 +500,7 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
     with its moments, continues the run it records; its arrays are trained
     in place.
     """
-    check_train_settings(dataset, train_config)
+    check_train_settings(dataset, model_config, train_config)
     num_rel_aug = 2 * dataset.num_relations
     graph, _ = split_graph(dataset, "train")
     train_queries, valid_queries = split_queries(dataset, "train", "valid")
@@ -489,12 +512,12 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
     if resume is None:
         params = ModelParams(model_config, num_rel_aug, rng_stream(train_config.seed, "init"))
         adam = AdamState(params.parameters())
-        rngs = {name: rng_stream(train_config.seed, name) for name in ("shuffle", "negatives", "noise")}
+        rngs = {name: rng_stream(train_config.seed, name) for name in _RUN_STREAMS}
         run = {"epoch": 0, "best": {"mrr": -1.0, "epoch": 0}, "evals_since_best": 0}
     else:
         check_resume(resume, model_config, dataset)
         params, adam, run = resume.params, resume.adam, dict(resume.training_state)
-        rngs = {name: _restore_rng(state) for name, state in resume.rng_states.items()}
+        rngs = {name: _restore_rng(resume.rng_states[name]) for name in _RUN_STREAMS}
     log(f"model has {params.count()} parameters over {num_rel_aug} relations "
         f"({len(train_queries)} training queries)")
 
@@ -601,4 +624,4 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
             break
 
     snapshot(ckpt_path)
-    return TrainResult(params, adam, logger.records, run["best"], ckpt_path, best_path)
+    return TrainResult(params, logger.records, run["best"], ckpt_path)

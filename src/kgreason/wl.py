@@ -36,11 +36,6 @@ class Coloring:
         return out
 
 
-@dataclass(frozen=True)
-class PairColoring(Coloring):
-    head: int = 0
-
-
 def _refine(init_colors, neighborhoods, max_rounds: int):
     """Shared refinement loop: split classes until stable or the round cap.
 
@@ -70,7 +65,7 @@ def _refine(init_colors, neighborhoods, max_rounds: int):
     return tuple(colors), rounds_run, stable
 
 
-def rawl2_refine(graph: KnowledgeGraph, head: int, rounds: Optional[int] = None) -> PairColoring:
+def rawl2_refine(graph: KnowledgeGraph, head: int, rounds: Optional[int] = None) -> Coloring:
     """Head-conditioned relational refinement over incoming facts."""
     n = graph.num_entities
     if not 0 <= head < n:
@@ -79,8 +74,7 @@ def rawl2_refine(graph: KnowledgeGraph, head: int, rounds: Optional[int] = None)
     for s, r, t in zip(graph.in_src.tolist(), graph.in_rel.tolist(), graph.in_tgt.tolist()):
         neighborhoods[t].append((s, r))
     init = [1 if u == head else 0 for u in range(n)]
-    colors, rounds_run, stable = _refine(init, neighborhoods, rounds or n)
-    return PairColoring(colors, rounds_run, stable, head=head)
+    return Coloring(*_refine(init, neighborhoods, rounds or n))
 
 
 def value_representations(graph: KnowledgeGraph, head: int, rq: int,

@@ -53,6 +53,19 @@ def incoming(graph, entity: int) -> list[tuple[int, int]]:
     return list(zip(graph.in_src[lo:hi].tolist(), graph.in_rel[lo:hi].tolist()))
 
 
+def facts(graph) -> list[tuple[int, int, int]]:
+    """Every (head, relation, tail) of ``graph``, in index order."""
+    return list(zip(graph.in_src.tolist(), graph.in_rel.tolist(), graph.in_tgt.tolist()))
+
+
+def filter_dict(filters) -> dict:
+    """``{(head, relation): set of tails}`` read off the CSR arrays of a ``QueryFilters``, in key order."""
+    heads, relations = np.divmod(filters.packed, 2 * filters.num_base_relations)
+    bounds = zip(filters.ptr[:-1].tolist(), filters.ptr[1:].tolist())
+    return {(h, r): set(filters.tails[lo:hi].tolist())
+            for h, r, (lo, hi) in zip(heads.tolist(), relations.tolist(), bounds)}
+
+
 def build_filter_sets(*triplet_lists) -> dict:
     """Oracle: union of true tails per (head, relation) across the given splits, fact by fact."""
     filters: dict[tuple[int, int], set] = {}

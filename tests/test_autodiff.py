@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import chain_graph, random_graph
+from conftest import chain_graph, facts, random_graph
 from kgreason import data
 from kgreason.autodiff import (
     _BUCKET_COST_ROWS,
@@ -526,7 +526,7 @@ class TestExcludedAggregate:
     def test_bit_equal_on_umls_queries(self, dtype):
         graph = umls_graph()
         rng = np.random.default_rng(11)
-        edges = graph.edges
+        edges = facts(graph)
         for e in rng.choice(len(edges), 4, replace=False):
             h, r, tail = edges[e]
             exclude = graph.excluded_edge_endpoints(h, r, tail)

@@ -71,6 +71,14 @@ def toy_config(tmp_path, toy_data):
     return write_config(tmp_path, toy_data)
 
 
+@pytest.fixture(scope="module")
+def chain_data(tmp_path_factory):
+    """A path over 4097 entities, one more than dense attention takes."""
+    rows = [(f"e{i}", "r0", f"e{i + 1}") for i in range(4096)]
+    return write_dataset(tmp_path_factory.mktemp("chain") / "chain",
+                         {"train": rows, "valid": rows[:1], "test": rows[1:2]})
+
+
 class TestConfigParsing:
     def test_round_trip(self, toy_config, toy_data):
         settings = load_run_config(str(toy_config))
@@ -189,6 +197,39 @@ class TestTrainCommand:
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.startswith(f"error: {first / 'checkpoint.bin'}: checkpoint relation vocabulary differs")
         assert not out.exists()
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda h: h.update(rng={}), "rng.shuffle is not a PCG64 generator state"),
+        (lambda h: h["rng"]["noise"].update(bit_generator="MT19937"),
+         "rng.noise is not a PCG64 generator state"),
+        (lambda h: h["rng"]["negatives"]["state"].update(inc="x"),
+         "rng.negatives is not a PCG64 generator state"),
+        (lambda h: h.update(training_state={}),
+         "training_state.epoch is None; a resume needs an integer >= 0"),
+        (lambda h: h["training_state"].update(evals_since_best=-1),
+         "training_state.evals_since_best is -1; a resume needs an integer >= 0"),
+        (lambda h: h["training_state"]["best"].update(epoch=1.5),
+         "training_state.best.epoch is 1.5; a resume needs an integer >= 0"),
+        (lambda h: h["training_state"]["best"].update(mrr="high"),
+         "training_state.best.mrr is 'high'; a resume needs a number"),
+        (lambda h: h.update(adam_step="x"), "adam_step is 'x'; a resume needs an integer >= 0"),
+        (lambda h: h.update(adam_step=-1), "adam_step is -1; a resume needs an integer >= 0"),
+    ], ids=["rng-empty", "rng-not-pcg64", "rng-bad-state", "training-state-empty",
+            "evals-since-best-negative", "best-epoch-float", "best-mrr-string", "adam-step-string",
+            "adam-step-negative"])
+    def test_resume_state_fault_exits_2(self, toy_config, tmp_path, damage, message, capsys):
+        first = tmp_path / "first"
+        assert main(["train", "--config", str(toy_config), "--set", "training.epochs=1",
+                     "--out", str(first)]) == 0
+        rewrite_header(first / "checkpoint.bin", damage)
+        capsys.readouterr()
+        out = tmp_path / "resumed"
+        assert main(["train", "--config", str(toy_config), "--resume", str(first / "checkpoint.bin"),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"error: {first / 'checkpoint.bin'}: checkpoint {message}"
+        assert not out.exists()  # refused before resolved.cfg or metrics.jsonl
 
     def test_resume_reads_checkpoint_once(self, toy_config, tmp_path, monkeypatch):
         out = tmp_path / "run"
@@ -399,9 +440,12 @@ class TestEvalPredictCommands:
         (lambda h: h["tensors"][0].update(name="bogus"), "has name 'bogus'; the model layout needs 'relations'"),
         (lambda h: h["tensors"][0].update(role="grad"), "has role 'grad'"),
         (lambda h: h["tensors"][0].update(dtype="int64"), "dtype 'int64'"),
+        (lambda h: h.update(entity_tokens=5), "checkpoint entity_tokens is not a list of strings"),
+        (lambda h: h["relation_tokens"].__setitem__(1, 7),
+         "checkpoint relation_tokens is not a list of strings"),
         (None, "not a checkpoint file"),
     ], ids=["missing-key", "zeroed-digest", "unknown-version", "unknown-tensor", "unknown-role",
-            "int-dtype", "wrong-magic"])
+            "int-dtype", "entity-tokens-int", "relation-token-int", "wrong-magic"])
     def test_damaged_header_exits_2(self, trained, toy_data, damage, message, capsys):
         if damage is None:
             trained.write_bytes(b"KGRCKPT0" + trained.read_bytes()[8:])
@@ -428,6 +472,16 @@ class TestEvalPredictCommands:
         assert re.fullmatch(f"error: {re.escape(str(trained))}: {LAYOUT_FAULTS[fault]}.*",
                             captured.err.splitlines()[-1])
         assert not (tmp_path / "resumed").exists()
+
+    @pytest.mark.parametrize("split, text", [("test", ""), ("valid", "# no facts\n")],
+                             ids=["empty-test", "comment-only-valid"])
+    def test_eval_on_split_without_facts_exits_2(self, trained, toy_data, split, text, capsys):
+        (toy_data / f"{split}.txt").write_text(text)
+        capsys.readouterr()  # drop the fixture's training output
+        assert main(["eval", "--checkpoint", str(trained), "--data", str(toy_data), "--split", split]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {toy_data / (split + '.txt')}: no facts to evaluate\n"
 
     @pytest.mark.parametrize("keep", [lambda blob: blob[:len(blob) // 2], lambda blob: blob[:-8]],
                              ids=["half", "last-8-bytes-cut"])
@@ -542,12 +596,34 @@ class TestDiagnoseCommands:
     (["diagnose", "scaling", "--dim", "0"], "--dim must be at least 1, got 0"),
     (["diagnose", "wl", "--rounds", "0"], "--rounds must be at least 1, got 0"),
     (["diagnose", "wl", "--rounds", "-2"], "--rounds must be at least 1, got -2"),
+    (["train", "--set", "model.kernel_mode=full_exponential", "--set", "dataset.path={chain}"],
+     "model.kernel_mode = full_exponential runs dense attention on at most 4096 entities; "
+     "the training graph has 4097"),
 ], ids=["verbosity", "kernel-error-samples", "kernel-error-dim", "kernel-error-seed", "gradcheck-seed",
-        "scaling-reps", "scaling-seed", "scaling-dim", "wl-rounds-0", "wl-rounds-negative"])
-def test_out_of_range_setting_exits_2(toy_config, toy_data, tmp_path, argv, message, capsys):
+        "scaling-reps", "scaling-seed", "scaling-dim", "wl-rounds-0", "wl-rounds-negative", "dense-kernel"])
+def test_out_of_range_setting_exits_2(toy_config, toy_data, chain_data, tmp_path, argv, message, capsys):
     inputs = {"train": ["--config", str(toy_config)], "wl": ["--data", str(toy_data), "--head", "a"]}
+    argv = [arg.format(chain=chain_data) for arg in argv]
     command = argv[:2] if argv[0] == "diagnose" else argv[:1]
     assert main([*command, *inputs.get(command[-1], []), *argv[len(command):]]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines()[-1] == "error: " + message
     assert not (tmp_path / "run").exists()  # a refused train writes no output directory
+
+
+@pytest.mark.parametrize("command, kernel_mode, message", [
+    (["predict"], "full_exponential", "dense attention takes at most 4096 entities; the graph has 4097"),
+    (["diagnose", "attention"], "approximate",
+     "the dense attention oracle takes at most 4096 entities; the graph has 4097"),
+], ids=["predict-full-exponential", "attention"])
+def test_graph_too_large_for_dense_attention_exits_2(toy_config, chain_data, tmp_path, command, kernel_mode,
+                                                     message, capsys):
+    out = tmp_path / "chain-run"
+    assert main(["train", "--config", str(toy_config), "--set", f"dataset.path={chain_data}",
+                 "--set", "training.epochs=0", "--out", str(out)]) == 0
+    set_header(out / "checkpoint.bin", "model_config", "kernel_mode", kernel_mode)
+    capsys.readouterr()  # drop the train command's output
+    assert main([*command, "--checkpoint", str(out / "checkpoint.bin"), "--data", str(chain_data),
+                 "--head", "e0", "--relation", "r0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"

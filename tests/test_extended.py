@@ -55,8 +55,9 @@ class TestConvergedPredictSweep:
         import numpy as np
 
         from conftest import build_filter_sets
+        from kgreason.autodiff import Tape
         from kgreason.data import Query
-        from kgreason.model import pin_noise, score_query
+        from kgreason.model import forward, pin_noise
 
         dataset = load_dataset(UMLS_DIR)
         model_config = ModelConfig(hidden_dim=32, attention_layers=2, query_layers=2,
@@ -73,8 +74,8 @@ class TestConvergedPredictSweep:
         hits = 0
         for i in sample:
             h, r, t = dataset.train[i]
-            scores = score_query(graph, Query(h, r, t, frozenset({t})), result.params,
-                                 infer_config, exclude_query_edge=True)
+            scores = forward(Tape(grad=False), graph, Query(h, r, t, frozenset({t})), result.params,
+                             infer_config, exclude_query_edge=True).data[:, 0]
             others = np.fromiter(filters[(h, r)] - {t}, dtype=np.int64)
             if others.size:
                 scores[others] = -np.inf

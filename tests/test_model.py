@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import chain_graph, make_config, make_model, random_graph
+from conftest import chain_graph, facts, make_config, make_model, random_graph
 from kgreason.autodiff import Tape, grad_check
 from kgreason.cli import load_run_config
 from kgreason.data import Query, Triplet, build_graph
@@ -153,7 +153,7 @@ class TestQrmpnn:
         eps = rng.standard_normal((8, cfg.hidden_dim))
         t = Tape()
         out = rmpnn_forward(t, g, t.tensor(x), 1, params.relations, net, eps)
-        expected = rmpnn_edge_loop_oracle(g.edges, 8, x, eps, params.relations, 1, net)
+        expected = rmpnn_edge_loop_oracle(facts(g), 8, x, eps, params.relations, 1, net)
         np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
     def test_identical_neighborhoods_identical_rows(self):
@@ -209,7 +209,7 @@ class TestVrmpnn:
         indicator[head] = 1.0
         t = Tape()
         out = rmpnn_forward(t, g, t.tensor(x), 0, params.relations, net, head_indicator(cfg, 7, head))
-        expected = rmpnn_edge_loop_oracle(g.edges, 7, x, indicator, params.relations, 0, net)
+        expected = rmpnn_edge_loop_oracle(facts(g), 7, x, indicator, params.relations, 0, net)
         np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
 
@@ -388,7 +388,7 @@ class TestForward:
         cfg, params = make_model(num_relations=4, seed=26, attention_layers=2, query_layers=2,
                                  value_layers=2, noise_mode="per_forward")
         g = random_graph(rng, 12, 2, 20)
-        h, r, t_ = g.edges[0]
+        h, r, t_ = facts(g)[0]
         tape = Tape()
         scores = forward(tape, g, Query(h, r, t_, frozenset({t_})), params, cfg,
                          noise=rng.standard_normal((12, cfg.hidden_dim)), exclude_query_edge=True)
@@ -402,7 +402,7 @@ class TestForward:
         cfg = load_run_config(os.path.join(CONFIGS, "umls.cfg"))["model"]
         params = ModelParams(cfg, 4, np.random.default_rng(27))
         g = random_graph(rng, 12, 2, 20)
-        h, r, t_ = g.edges[0]
+        h, r, t_ = facts(g)[0]
         tape = Tape()
         scores = forward(tape, g, Query(h, r, t_, frozenset({t_})), params, cfg,
                          noise=make_noise(cfg, 12, rng), exclude_query_edge=True)

@@ -42,7 +42,7 @@ def toy_dataset(seed=0) -> DatasetSplit:
     test = [Triplet(*f) for f in facts[15:]]
     ev = Vocabulary([f"e{i}" for i in range(6)])
     rv = Vocabulary(["r0", "r1"])
-    return DatasetSplit("toy", "transductive", train, valid, test, ev, rv)
+    return DatasetSplit("transductive", train, valid, test, ev, rv)
 
 
 TIMING_KEYS = ("queries_per_s", "fwd_ms", "bwd_ms", "opt_ms")
@@ -249,7 +249,7 @@ class TestTrainLoop:
 
         def poisoned(params):
             original(params)
-            params.by_name()["layer0.head0.value.rel_b"].grad[0, 0] = np.nan
+            next(p for p in params.parameters() if p.name == "layer0.head0.value.rel_b").grad[0, 0] = np.nan
 
         monkeypatch.setattr(ModelParams, "zero_grad", poisoned)
         with pytest.raises(TrainingDiverged,
@@ -303,7 +303,7 @@ class TestTrainLoop:
 def toy_inductive_dataset() -> DatasetSplit:
     """Four training entities; test facts live on a three-entity inference graph."""
     return DatasetSplit(
-        "toy-ind", "inductive",
+        "inductive",
         train=[Triplet(0, 0, 1), Triplet(1, 0, 2), Triplet(2, 1, 0), Triplet(1, 1, 3)],
         valid=[Triplet(0, 1, 2)],
         test=[Triplet(0, 0, 2)],
@@ -344,7 +344,7 @@ class TestSplitBuilder:
         [valid] = split_queries(ds, "valid")
         assert valid[0].filter_set == {2} and valid[1].filter_set == {0}
         train_q, valid_q = split_queries(ds, "train", "valid")
-        assert valid_q == valid
+        assert list(valid_q) == list(valid)
         # test fact (x0, r0, x2) has ids (0, 0, 2) in the inference vocabulary;
         # it must not filter the training-graph query (e0, r0)
         assert train_q[0].filter_set == {1}
@@ -404,8 +404,9 @@ class TestCheckpointContainer:
                 set_header(path, section, key, value)
             ck = load_checkpoint(str(path))
             assert ck.model_config == mcfg and ck.train_config == TrainConfig()
-            for p in params.parameters():
-                np.testing.assert_array_equal(ck.params.by_name()[p.name].data, p.data)
+            for p, q in zip(params.parameters(), ck.params.parameters(), strict=True):
+                assert q.name == p.name
+                np.testing.assert_array_equal(q.data, p.data)
         for section, keys in retired.items():
             for key, value in keys.items():
                 path.write_bytes(pristine)
@@ -474,8 +475,9 @@ class TestCheckpointContainer:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
         ck = load_checkpoint(str(path))
-        for name, data in saved.items():
-            np.testing.assert_array_equal(ck.params.by_name()[name].data, data)
+        assert [p.name for p in ck.params.parameters()] == list(saved)
+        for p, data in zip(ck.params.parameters(), saved.values()):
+            np.testing.assert_array_equal(p.data, data)
 
     def test_load_fills_params_and_moments_without_drawing(self, tmp_path, monkeypatch):
         mcfg = ModelConfig(hidden_dim=16, attention_layers=2, query_layers=2, value_layers=2,
@@ -516,8 +518,9 @@ class TestCheckpointContainer:
         save_checkpoint(str(path), Checkpoint(mcfg, TrainConfig(), params, adam, ["e"], ["r", "s"], {},
                                               tstate))
         ck = load_checkpoint(str(path))
-        for p in params.parameters():
-            np.testing.assert_array_equal(ck.params.by_name()[p.name].data, p.data)
+        for p, q in zip(params.parameters(), ck.params.parameters(), strict=True):
+            assert q.name == p.name
+            np.testing.assert_array_equal(q.data, p.data)
         assert ck.entity_tokens == ["e"] and ck.model_config.hidden_dim == 16
 
 

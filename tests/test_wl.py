@@ -5,13 +5,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from conftest import incoming, make_model, random_graph
+from conftest import facts, incoming, make_model, random_graph
 from kgreason.autodiff import Tape
 from kgreason.data import Query, Triplet, build_graph
 from kgreason.model import forward
 from kgreason.wl import (
     Coloring,
-    PairColoring,
     _refine,
     rawl2_refine,
     value_representations,
@@ -33,7 +32,7 @@ def wl_refine(graph, rounds=None) -> Coloring:
 
 @dataclass
 class ProbeReport:
-    coloring: PairColoring
+    coloring: Coloring
     class_score_spread: dict          # color -> max |score difference| inside the class
     violations: list                  # same-color pairs with differing scores (should be empty)
     warnings: list                    # distinguished pairs with equal scores (statistical only)
@@ -117,7 +116,7 @@ class TestWlRefine:
         mine = wl_refine(g, rounds=rounds)
 
         adjacency = [set() for _ in range(n)]
-        for h, _, t in g.edges:
+        for h, _, t in facts(g):
             if h != t:
                 adjacency[h].add(t)
                 adjacency[t].add(h)
