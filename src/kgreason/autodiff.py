@@ -343,8 +343,7 @@ class Tape:
         for _, out, bwd in reversed(self._record):
             if out.grad is not None:
                 bwd(out.grad)
-            if not isinstance(out, Parameter):
-                out.grad = None  # free intermediate buffers as we go
+            out.grad = None  # free intermediate buffers as we go
 
     # --- creation -------------------------------------------------------
 

@@ -20,27 +20,19 @@ import typing
 
 import numpy as np
 
-from . import __version__
+from . import UserError, __version__
 from .autodiff import Tape, grad_check
-from .data import (
-    DatasetError, DatasetSplit, ParseError, Query, Triplet, Vocabulary, VocabularyError, build_graph,
-    load_dataset,
-)
+from .data import Query, Triplet, Vocabulary, build_graph, load_dataset
 # unused here, but the benchmark tracer (kgbench/tracer.py) patches these names on this module
 from .data import load_triplets, make_queries, query_filters  # noqa: F401
 from .evaluation import evaluate
 from .model import (
-    ConfigError, DenseScopeError, ModelConfig, ModelParams, dense_attention_oracle, forward, ForwardState,
-    pin_noise, score_query,
+    ModelConfig, ModelParams, dense_attention_oracle, forward, ForwardState, pin_noise, score_query,
 )
 from .training import (
-    CheckpointError, TrainConfig, check_resume, check_train_settings, load_checkpoint,
-    negative_sampling_loss, sample_negatives, split_graph, split_queries, train,
+    TrainConfig, check_resume, check_train_settings, load_checkpoint, negative_sampling_loss,
+    sample_negatives, split_graph, split_queries, train,
 )
-
-
-class UserError(Exception):
-    """Bad input from the operator (missing files, unknown tokens, bad config)."""
 
 
 @dataclasses.dataclass
@@ -94,12 +86,17 @@ def load_run_config(path: str, overrides=()) -> dict:
     Unknown sections or keys are rejected outright so typos cannot
     silently fall back to defaults.
     """
-    if not os.path.exists(path):
-        raise UserError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case
     try:
-        parser.read(path)
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except FileNotFoundError:
+        raise UserError(f"config file not found: {path}") from None
+    except UnicodeDecodeError:
+        raise UserError(f"{path}: config file is not valid UTF-8") from None
+    except OSError as exc:
+        raise UserError(f"{path}: cannot read config file: {exc.strerror}") from None
     except configparser.Error as exc:
         raise UserError(f"malformed config file: {exc}") from None
     values = {section: dict(parser[section]) for section in parser.sections()}
@@ -137,14 +134,6 @@ def echo_config(out_dir: str, settings: dict) -> None:
         parser.write(fh)
 
 
-def _load_dataset(path: str, mode: str = "auto", entity_vocab=None, relation_vocab=None) -> DatasetSplit:
-    """``load_dataset`` with a missing file reported as a user error."""
-    try:
-        return load_dataset(path, mode, entity_vocab, relation_vocab)
-    except FileNotFoundError as exc:
-        raise UserError(str(exc)) from None
-
-
 def _relation_id(token: str, relation_vocab: Vocabulary) -> int:
     """Augmented relation id of a relation token; ``rel^-1`` names the inverse of ``rel``."""
     if token.endswith("^-1"):
@@ -179,7 +168,7 @@ def cmd_train(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     if not dataset_settings.path:
         raise UserError("no dataset path configured")
-    dataset = _load_dataset(dataset_settings.path, dataset_settings.mode)
+    dataset = load_dataset(dataset_settings.path, dataset_settings.mode)
     check_train_settings(dataset, settings["model"], settings["training"])
     if run.verbosity not in ("info", "quiet"):
         raise UserError(f"run.verbosity must be info or quiet, got {run.verbosity!r}")
@@ -189,8 +178,11 @@ def cmd_train(args) -> int:
         check_resume(resume, settings["model"], dataset, args.resume)
     out_dir = run.output_dir or None
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        echo_config(out_dir, settings)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            echo_config(out_dir, settings)
+        except OSError as exc:
+            raise UserError(f"{out_dir}: not a writable output directory: {exc.strerror}") from None
     log = (lambda *a, **k: None) if run.verbosity == "quiet" else print
     result = train(dataset, settings["model"], settings["training"], out_dir=out_dir,
                    resume=resume, log=log)
@@ -210,8 +202,8 @@ def _restore_for_inference(args):
     if args.noise_seed < 0:
         raise UserError(f"--noise-seed must be >= 0, got {args.noise_seed}")
     ck = load_checkpoint(args.checkpoint, moments=False)
-    dataset = _load_dataset(args.data, entity_vocab=Vocabulary(ck.entity_tokens, frozen=True),
-                            relation_vocab=Vocabulary(ck.relation_tokens, frozen=True))
+    dataset = load_dataset(args.data, entity_vocab=Vocabulary(ck.entity_tokens, frozen=True),
+                           relation_vocab=Vocabulary(ck.relation_tokens, frozen=True))
     return ck, dataset
 
 
@@ -222,17 +214,13 @@ def cmd_eval(args) -> int:
     if not queries:
         raise UserError(f"{os.path.join(args.data, args.split + '.txt')}: no facts to evaluate")
     t0 = time.perf_counter()
-    out = evaluate(graph, queries, ck.params, ck.model_config, noise_seed=args.noise_seed,
-                   raw=args.raw, per_query=args.per_query)
+    report = evaluate(graph, queries, ck.params, ck.model_config, noise_seed=args.noise_seed, raw=args.raw)
     wall = (time.perf_counter() - t0) * 1000
     if args.per_query:
-        report, records = out
-        for rec in records:
-            print(json.dumps({"head": entity_vocab[rec["head"]],
-                              "relation": _relation_token(rec["relation"], dataset.relation_vocab),
-                              "gold": entity_vocab[rec["gold"]], "rank": rec["rank"]}, sort_keys=True))
-    else:
-        report = out
+        for query, rank in zip(queries, report.ranks):
+            print(json.dumps({"head": entity_vocab[query.head],
+                              "relation": _relation_token(query.relation, dataset.relation_vocab),
+                              "gold": entity_vocab[query.gold_tail], "rank": rank}, sort_keys=True))
     print(json.dumps({"split": args.split, "wall_ms": round(wall, 3), **report.as_dict()}, sort_keys=True))
     if args.noise_std and ck.model_config.noise_mode != "disabled":
         mrrs = [report.mrr]
@@ -355,7 +343,7 @@ def cmd_diagnose(args) -> int:
 
     if args.subcommand == "wl":
         from .wl import rawl2_refine
-        graph, entity_vocab = split_graph(_load_dataset(args.data), "train")
+        graph, entity_vocab = split_graph(load_dataset(args.data), "train")
         coloring = rawl2_refine(graph, entity_vocab.id(args.head), rounds=args.rounds)
         for color, members in sorted(coloring.classes().items()):
             print(json.dumps({"color": color, "size": len(members),
@@ -512,10 +500,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UserError, ConfigError, CheckpointError, DatasetError, DenseScopeError, ParseError,
-            VocabularyError) as exc:
-        # bad configs, checkpoints, data files or tokens, or a graph too large for dense
-        # attention: all the operator's to fix
+    except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BrokenPipeError, KeyboardInterrupt):

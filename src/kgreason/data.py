@@ -17,14 +17,15 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import UserError
 from .autodiff import ProductSumPlan
 
 
-class ParseError(Exception):
+class ParseError(UserError):
     """A triplet file is not UTF-8, or a line did not have exactly three tab-separated fields."""
 
 
-class VocabularyError(Exception):
+class VocabularyError(UserError):
     """A token was not present in a fixed vocabulary."""
 
 
@@ -32,8 +33,8 @@ class GraphError(Exception):
     """Graph or query construction was handed out-of-range or inconsistent ids."""
 
 
-class DatasetError(Exception):
-    """A dataset was asked for in a mode that does not exist."""
+class DatasetError(UserError):
+    """A dataset file cannot be opened or read, or a dataset was asked for in a mode that does not exist."""
 
 
 DATASET_MODES = ("auto", "transductive", "inductive")
@@ -163,17 +164,22 @@ def load_triplets(
     tail) when not supplied; supplied ones are used verbatim and unseen
     tokens of a frozen one raise ``VocabularyError``. Blank lines and lines
     whose first non-blank character is ``#`` are skipped; line numbers in
-    errors count every line.
+    errors count every line. A file that cannot be opened or read raises
+    ``DatasetError`` naming it.
     """
     entity_vocab = Vocabulary() if entity_vocab is None else entity_vocab
     relation_vocab = Vocabulary() if relation_vocab is None else relation_vocab
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        except UnicodeDecodeError as exc:  # decoded in one piece: exc.object is the whole file
-            read = exc.object[:exc.start]  # line ends as text mode reads them: \n, \r\n or \r
-            lineno = read.count(b"\n") + read.count(b"\r") - read.count(b"\r\n") + 1
-            raise ParseError(f"{path}:{lineno}: not valid UTF-8") from None
+    except UnicodeDecodeError as exc:  # decoded in one piece: exc.object is the whole file
+        read = exc.object[:exc.start]  # line ends as text mode reads them: \n, \r\n or \r
+        lineno = read.count(b"\n") + read.count(b"\r") - read.count(b"\r\n") + 1
+        raise ParseError(f"{path}:{lineno}: not valid UTF-8") from None
+    except FileNotFoundError:
+        raise DatasetError(f"dataset file not found: {path}") from None
+    except OSError as exc:
+        raise DatasetError(f"{path}: cannot read dataset file: {exc.strerror}") from None
     lines = text.split("\n")
     if _plain(text):
         kept = lines if lines[-1] else lines[:-1]
@@ -484,14 +490,11 @@ def load_dataset(path: str, mode: str = "auto", entity_vocab: Optional[Vocabular
     def fname(split):
         return os.path.join(path, f"{split}.txt")
 
-    for split in ("train", "valid", "test"):
-        if not os.path.exists(fname(split)):
-            raise FileNotFoundError(f"dataset file not found: {fname(split)}")
     has_inference = os.path.exists(fname("inference"))
     if mode == "auto":
         mode = "inductive" if has_inference else "transductive"
     if mode == "inductive" and not has_inference:
-        raise FileNotFoundError(f"inductive mode requires {fname('inference')}")
+        raise DatasetError(f"inductive mode requires {fname('inference')}")
 
     train, entity_vocab, relation_vocab = load_triplets(fname("train"), entity_vocab, relation_vocab)
     relation_vocab.frozen = True

@@ -8,7 +8,7 @@ at its analytic random-ranking expectation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,11 +27,14 @@ class MetricsError(Exception):
 
 @dataclass
 class MetricsReport:
+    """Aggregate metrics, and the ranks they were computed from in query order."""
+
     mrr: float
     hits1: float
     hits3: float
     hits10: float
     count: int
+    ranks: list[float] = field(repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -80,6 +83,7 @@ def compute_metrics(ranks: Sequence[float]) -> MetricsReport:
         hits3=float((arr <= 3).mean()),
         hits10=float((arr <= 10).mean()),
         count=int(arr.shape[0]),
+        ranks=arr.tolist(),
     )
 
 
@@ -99,9 +103,8 @@ def evaluate(
     config: ModelConfig,
     noise_seed: int = 0,
     raw: bool = False,
-    per_query: bool = False,
-):
-    """Rank every query, in order, and aggregate metrics.
+) -> MetricsReport:
+    """Rank every query, in order, and aggregate metrics (``ranks`` follows ``queries``).
 
     Noise is pinned to ``noise_seed`` (unless the model runs with noise
     disabled) and drawn once, so reported numbers are reproducible. With
@@ -129,11 +132,4 @@ def evaluate(
                 ranks[i] = rank_answer(scores, query.gold_tail, mask)
             del scores
         del side
-    report = compute_metrics(ranks)
-    if per_query:
-        records = [
-            {"head": q.head, "relation": q.relation, "gold": q.gold_tail, "rank": r}
-            for q, r in zip(queries, ranks)
-        ]
-        return report, records
-    return report
+    return compute_metrics(ranks)

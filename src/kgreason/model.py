@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import UserError
 from .autodiff import Parameter, Tape, Tensor
 from .data import KnowledgeGraph, Query
 
@@ -29,11 +30,11 @@ LAYER_NORM_EPS = 1e-5
 NORM_EPS = 1e-12       # guards the row normalization of attention queries and keys
 DENSE_GUARD = 4096     # largest entity count the quadratic dense attention accepts
 
-class ConfigError(Exception):
-    pass
+class ConfigError(UserError):
+    """A model or training setting is out of range or inconsistent with the data."""
 
 
-class DenseScopeError(Exception):
+class DenseScopeError(UserError):
     """The dense quadratic attention path refused an oversized graph."""
 
 

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import UserError
 from .autodiff import Parameter, Tape, Tensor
 from .data import DatasetSplit, KnowledgeGraph, Vocabulary, build_graph, make_queries, query_filters
 from .evaluation import evaluate
@@ -42,8 +43,8 @@ class TrainingDiverged(Exception):
     pass
 
 
-class CheckpointError(Exception):
-    pass
+class CheckpointError(UserError):
+    """A checkpoint file is unreadable, damaged, or does not fit the run that asks for it."""
 
 
 def rng_stream(seed: int, name: str) -> np.random.Generator:
@@ -433,10 +434,11 @@ def _param_norms(params: ModelParams, worst: int = 5) -> str:
 def check_train_settings(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainConfig) -> None:
     """Refuse settings the training loop or the dataset cannot support (``train`` runs this first)."""
     for key, least in (("batch_size", 1), ("eval_interval", 1), ("num_negatives", 0), ("seed", 0),
-                       ("max_valid_queries", 0)):
+                       ("max_valid_queries", 0), ("epochs", 0), ("learning_rate", 0), ("weight_decay", 0)):
         value = getattr(train_config, key)
-        if value is not None and value < least:
-            raise ConfigError(f"training.{key} must be >= {least}, got {value}")
+        if value is not None and not least <= value < math.inf:   # NaN fails too
+            finite = "" if math.isfinite(value) else "finite and "
+            raise ConfigError(f"training.{key} must be {finite}>= {least}, got {value}")
     num_entities = len(dataset.entity_vocab)   # the training graph's entities
     if train_config.num_negatives >= num_entities:
         raise ConfigError(f"training.num_negatives = {train_config.num_negatives} needs more entities: "

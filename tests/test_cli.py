@@ -1,12 +1,16 @@
 """End-to-end command tests: exit codes, outputs, reproducibility."""
 
 import glob
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import re
 
 import pytest
 
+import kgreason
 from conftest import LAYOUT_FAULTS, damage_layout, rewrite_header, set_header
 from kgreason.cli import load_run_config, main, UserError
 from kgreason.training import load_checkpoint
@@ -271,6 +275,13 @@ class TestTrainCommand:
         ("training.batch_size=0", "training.batch_size must be >= 1, got 0"),
         ("training.eval_interval=0", "training.eval_interval must be >= 1, got 0"),
         ("training.num_negatives=-1", "training.num_negatives must be >= 0, got -1"),
+        ("training.epochs=-1", "training.epochs must be >= 0, got -1"),
+        ("training.learning_rate=nan", "training.learning_rate must be finite and >= 0, got nan"),
+        ("training.learning_rate=inf", "training.learning_rate must be finite and >= 0, got inf"),
+        ("training.learning_rate=-1e-3", "training.learning_rate must be >= 0, got -0.001"),
+        ("training.weight_decay=inf", "training.weight_decay must be finite and >= 0, got inf"),
+        ("training.weight_decay=nan", "training.weight_decay must be finite and >= 0, got nan"),
+        ("training.weight_decay=-1", "training.weight_decay must be >= 0, got -1.0"),
     ])
     def test_loop_breaking_training_value_exits_2(self, toy_config, tmp_path, item, message, capsys):
         assert main(["train", "--config", str(toy_config), "--set", item]) == 2
@@ -627,3 +638,77 @@ def test_graph_too_large_for_dense_attention_exits_2(toy_config, chain_data, tmp
                  "--head", "e0", "--relation", "r0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def _damage_operator_path(mistake, tmp_path, config, data):
+    """Make one path that ``kgreason train`` is given unusable; returns the extra argv and that path."""
+    if mistake == "config-not-utf8":
+        config.write_bytes(config.read_bytes() + b"# \xff\n")
+        return [], config
+    if mistake == "config-directory":
+        config.unlink()
+        config.mkdir()
+        return [], config
+    if mistake == "out-existing-file":
+        out = tmp_path / "taken"
+        out.write_text("")
+        return ["--out", str(out)], out
+    if mistake == "out-under-file":
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "run"
+        return ["--out", str(out)], out
+    assert mistake == "train-directory"
+    (data / "train.txt").unlink()
+    (data / "train.txt").mkdir()
+    return [], data / "train.txt"
+
+
+@pytest.mark.parametrize("mistake, message", [
+    ("config-not-utf8", "config file is not valid UTF-8"),
+    ("config-directory", "cannot read config file: Is a directory"),
+    ("out-existing-file", "not a writable output directory: File exists"),
+    ("out-under-file", "not a writable output directory: Not a directory"),
+    ("train-directory", "cannot read dataset file: Is a directory"),
+])
+def test_operator_path_mistake_exits_2(toy_config, toy_data, tmp_path, mistake, message, capsys):
+    argv, path = _damage_operator_path(mistake, tmp_path, toy_config, toy_data)
+    assert main(["train", "--config", str(toy_config), *argv]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {path}: {message}"
+    assert not (tmp_path / "run").exists() and not list(tmp_path.rglob("resolved.cfg"))
+
+
+# The operator's to fix (exit 2, "error: ...") or the program's (exit 1, "internal error: ...").
+USER_ERRORS = {"UserError", "ConfigError", "DenseScopeError", "CheckpointError", "DatasetError", "ParseError",
+               "VocabularyError"}
+INTERNAL_ERRORS = {"ShapeError", "ContractError", "DeterminismError", "GraphError", "RankingError",
+                   "MetricsError", "SamplingError", "TrainingDiverged"}
+
+
+def _kgreason_exceptions():
+    modules = [kgreason, *(importlib.import_module(f"kgreason.{info.name}")
+                           for info in pkgutil.iter_modules(kgreason.__path__))]
+    return sorted({cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)
+                   if issubclass(cls, BaseException) and cls.__module__ == module.__name__},
+                  key=lambda cls: cls.__name__)
+
+
+def test_every_exception_class_picks_a_side():
+    classes = _kgreason_exceptions()
+    assert {cls.__name__ for cls in classes} == USER_ERRORS | INTERNAL_ERRORS
+    assert {cls.__name__ for cls in classes if issubclass(cls, UserError)} == USER_ERRORS
+
+
+@pytest.mark.parametrize("cls", _kgreason_exceptions(), ids=lambda cls: cls.__name__)
+def test_main_exit_code_follows_the_error_family(cls, monkeypatch, capsys):
+    exc = cls("boom")
+
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr("kgreason.cli.cmd_grid", failing)
+    if issubclass(cls, UserError):
+        assert main(["grid"]) == 2
+        assert capsys.readouterr().err == f"error: {exc}\n"
+    else:
+        assert main(["grid"]) == 1
+        assert capsys.readouterr().err == f"internal error: {cls.__name__}: {exc}\n"

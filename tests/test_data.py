@@ -8,6 +8,7 @@ import pytest
 
 from conftest import build_filter_sets, facts, filter_dict, incoming, oracle_queries
 from kgreason.data import (
+    DatasetError,
     GraphError,
     ParseError,
     Triplet,
@@ -498,5 +499,5 @@ class TestInductiveLayout:
             load_dataset(str(d))
 
     def test_missing_split_reported(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(DatasetError, match="dataset file not found: .*train.txt"):
             load_dataset(str(tmp_path))

@@ -143,8 +143,7 @@ class TestEvaluate:
         r1 = evaluate(g, queries, params, cfg, noise_seed=7)
         r2 = evaluate(g, queries, params, cfg, noise_seed=7)
         assert r1 == r2
-        report, records = evaluate(g, queries, params, cfg, noise_seed=7, per_query=True)
-        assert len(records) == 2 and records[0]["head"] == 0 and "rank" in records[0]
+        assert len(r1.ranks) == 2 and all(1 <= rank <= 8 for rank in r1.ranks)
 
     @pytest.mark.parametrize("raw", [False, True])
     @pytest.mark.parametrize("noise_mode", ["per_forward", "disabled"])
@@ -159,8 +158,7 @@ class TestEvaluate:
         for q in queries:  # the per-query loop: one forward per query
             scores = score_query(g, q, params, pinned)
             mask = None if raw else query_filter_mask(q, g.num_entities)
-            reference.append({"head": q.head, "relation": q.relation, "gold": q.gold_tail,
-                              "rank": rank_answer(scores, q.gold_tail, mask)})
+            reference.append(rank_answer(scores, q.gold_tail, mask))
         calls = []
 
         def counting(graph, query, *args, **kwargs):
@@ -168,10 +166,10 @@ class TestEvaluate:
             return score_query(graph, query, *args, **kwargs)
 
         monkeypatch.setattr(evaluation, "score_query", counting)
-        report, records = evaluate(g, queries, params, cfg, noise_seed=7, raw=raw, per_query=True)
+        report = evaluate(g, queries, params, cfg, noise_seed=7, raw=raw)
         assert calls == [(0, 1), (3, 0), (5, 2), (8, 3)]
-        assert records == reference
-        assert report == compute_metrics([r["rank"] for r in reference])
+        assert report.ranks == reference
+        assert report == compute_metrics(reference)
 
 
     @pytest.mark.parametrize("raw", [False, True])
@@ -194,8 +192,7 @@ class TestEvaluate:
         for q in queries:
             scores = vectors.setdefault((q.head, q.relation), score_query(g, q, params, pinned))
             mask = None if raw else query_filter_mask(q, g.num_entities)
-            reference.append({"head": q.head, "relation": q.relation, "gold": q.gold_tail,
-                              "rank": rank_answer(scores, q.gold_tail, mask)})
+            reference.append(rank_answer(scores, q.gold_tail, mask))
         scored = {}
 
         def keeping(graph, query, *args, **kwargs):
@@ -203,11 +200,11 @@ class TestEvaluate:
             return scored[(query.head, query.relation)]
 
         monkeypatch.setattr(evaluation, "score_query", keeping)
-        report, records = evaluate(g, queries, params, cfg, noise_seed=5, raw=raw, per_query=True)
+        report = evaluate(g, queries, params, cfg, noise_seed=5, raw=raw)
         assert scored.keys() == vectors.keys()
         assert all(scored[pair].tobytes() == vectors[pair].tobytes() for pair in vectors)
-        assert records == reference
-        assert report == compute_metrics([r["rank"] for r in reference])
+        assert report.ranks == reference
+        assert report == compute_metrics(reference)
 
     def test_layer0_query_net_runs_once_per_relation(self, rng, monkeypatch):
         cfg, params = make_model(num_relations=4, seed=35, noise_mode="per_forward", attention_layers=2)
