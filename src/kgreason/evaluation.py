@@ -3,13 +3,20 @@
 Ranking is filtered by default: every known true tail for the query other
 than the gold answer is removed from the candidate pool before counting.
 Ties are resolved by mean rank, which keeps the untrained-model baseline
-at its analytic random-ranking expectation.
+at its analytic random-ranking expectation. ``evaluate`` spreads its
+relation groups over one process per available CPU when numpy's BLAS runs
+on one thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +30,10 @@ class RankingError(Exception):
 
 class MetricsError(Exception):
     pass
+
+
+class WorkerError(Exception):
+    """An evaluation worker ended without a usable result (a signal, or an error it could not send)."""
 
 
 @dataclass
@@ -68,6 +79,8 @@ def rank_answer(scores: np.ndarray, gold: int, filter_mask: Optional[np.ndarray]
     competing = ~filter_mask
     competing[gold] = False
     gold_score = scores[gold]
+    if np.isnan(gold_score):
+        raise RankingError(f"gold entity {gold} has a NaN score")
     greater = int(np.count_nonzero(competing & (scores > gold_score)))
     ties = int(np.count_nonzero(competing & (scores == gold_score)))
     return 1.0 + greater + 0.5 * ties
@@ -104,7 +117,7 @@ def evaluate(
     noise_seed: int = 0,
     raw: bool = False,
 ) -> MetricsReport:
-    """Rank every query, in order, and aggregate metrics (``ranks`` follows ``queries``).
+    """Rank every query and aggregate metrics (``ranks`` follows ``queries``).
 
     Noise is pinned to ``noise_seed`` (unless the model runs with noise
     disabled) and drawn once, so reported numbers are reproducible. With
@@ -113,23 +126,262 @@ def evaluate(
     that pair is ranked against the one vector. Pairs run grouped by
     relation, because layer 0's query side depends on the relation alone:
     it is computed once per relation and shared by that relation's pairs.
-    Only one relation's query side and one score vector are held at a time.
+    The relation groups are spread over the available CPUs
+    (``map_in_workers``); each worker holds one relation's query side and
+    one score vector at a time. Ranks, metrics and errors are those of one
+    process ranking every group in turn (a worker killed by a signal
+    raises ``WorkerError``).
     """
     eval_config = pin_noise(config, noise_seed)
     noise = make_noise(eval_config, graph.num_entities)
     groups: dict[int, dict[int, list[int]]] = {}     # relation -> head -> query indices
     for i, query in enumerate(queries):
         groups.setdefault(query.relation, {}).setdefault(query.head, []).append(i)
-    ranks = [0.0] * len(queries)
-    for by_head in groups.values():
+    by_relation = list(groups.values())
+
+    def rank_group(by_head: dict[int, list[int]]) -> np.ndarray:
+        """Ranks of one relation's queries, head by head and each head's queries in order."""
         pairs = [queries[members[0]] for members in by_head.values()]
         side = layer0_query_side(graph, pairs[0], params, eval_config, noise)
+        ranks = []
         for pair, members in zip(pairs, by_head.values()):
             scores = score_query(graph, pair, params, eval_config, noise, query_side=side)
             for i in members:
                 query = queries[i]
                 mask = None if raw else query_filter_mask(query, graph.num_entities)
-                ranks[i] = rank_answer(scores, query.gold_tail, mask)
+                ranks.append(rank_answer(scores, query.gold_tail, mask))
             del scores
-        del side
+        return np.array(ranks, dtype=np.float64)
+
+    ranks = np.empty(len(queries))
+    results = map_in_workers(rank_group, by_relation, [len(by_head) for by_head in by_relation])
+    for by_head, group_ranks in zip(by_relation, results):
+        ranks[[i for members in by_head.values() for i in members]] = group_ranks
     return compute_metrics(ranks)
+
+
+# --- worker processes ----------------------------------------------------------
+
+# Thread-count queries of the BLAS numpy links: OpenBLAS as numpy's wheels
+# bundle it (scipy-openblas, with and without the 64-bit suffix), plain
+# OpenBLAS, and MKL.
+_BLAS_THREAD_QUERIES = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                        "openblas_get_num_threads64_", "openblas_get_num_threads", "MKL_Get_Max_Threads")
+
+
+def blas_threads() -> Optional[int]:
+    """Threads numpy's BLAS runs a product on, or None where that BLAS offers no query."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:                       # numpy 1.x
+        from numpy.core import _multiarray_umath
+    try:
+        blas = ctypes.CDLL(_multiarray_umath.__file__)   # symbols resolve through its linked BLAS
+    except OSError:
+        return None
+    for name in _BLAS_THREAD_QUERIES:
+        query = getattr(blas, name, None)
+        if query is not None:
+            query.argtypes, query.restype = [], ctypes.c_int
+            return int(query())
+    return None
+
+
+def cgroup_cpu_limit(root: str = "/sys/fs/cgroup", membership: str = "/proc/self/cgroup") -> Optional[float]:
+    """CPUs that the CPU quotas of this process's cgroups and their ancestors allow; None if none is set.
+
+    Reads cgroup v2 ``cpu.max`` and cgroup v1 ``cpu.cfs_quota_us`` /
+    ``cpu.cfs_period_us``; a file that is missing or unreadable sets no limit.
+    """
+    try:
+        with open(membership) as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return None
+    limits = []
+    for line in lines:
+        _, controllers, path = line.split(":", 2)
+        if not controllers:
+            base, names = root, ("cpu.max",)
+        elif "cpu" in controllers.split(","):
+            base, names = os.path.join(root, "cpu"), ("cpu.cfs_quota_us", "cpu.cfs_period_us")
+        else:
+            continue
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts) + 1):
+            fields = []
+            try:
+                for name in names:
+                    with open(os.path.join(base, *parts[:depth], name)) as fh:
+                        fields += fh.read().split()
+                quota, period = int(fields[0]), int(fields[1])   # "max" (v2) has no quota
+            except (OSError, ValueError, IndexError):
+                continue
+            if quota > 0 and period > 0:                         # -1 (v1) has none either
+                limits.append(quota / period)
+    return min(limits, default=None)
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask (all CPUs where none is reported), within its CPU quota."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    limit = cgroup_cpu_limit()
+    return cpus if limit is None else max(1, min(cpus, math.ceil(limit)))
+
+
+def worker_count(tasks: int) -> int:
+    """Processes ``map_in_workers`` spreads ``tasks`` tasks over.
+
+    One per available CPU, at most one per task, and one unless numpy's BLAS
+    reports a single thread: the workers keep their BLAS thread count (large
+    graphs' scores depend on it), so BLAS threads in several workers would
+    outnumber the CPUs. Also one where ``os.fork`` does not exist.
+    """
+    if not hasattr(os, "fork") or blas_threads() != 1:
+        return 1
+    return max(1, min(available_cpus(), tasks))
+
+
+def split_tasks(weights: Sequence[int], workers: int) -> list[list[int]]:
+    """Task indices per worker: largest task first, each to the least-loaded worker.
+
+    Each share lists its tasks in task order, and the shares are ordered by
+    their first task, so the first share holds task 0. The split depends
+    only on ``weights`` and ``workers``.
+    """
+    loads = [0] * workers
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    for t in sorted(range(len(weights)), key=lambda t: -weights[t]):
+        w = min(range(workers), key=lambda w: (loads[w], len(shares[w])))
+        shares[w].append(t)
+        loads[w] += weights[t]
+    return sorted((sorted(share) for share in shares if share), key=lambda share: share[0])
+
+
+def map_in_workers(work: Callable[[object], object], tasks: Sequence, weights: Sequence[int]) -> list:
+    """``[work(task) for task in tasks]`` on ``worker_count(len(tasks))`` processes.
+
+    The tasks are split by ``split_tasks``. This process runs the share that
+    holds task 0; every other share runs in a child made by ``os.fork``,
+    which sends back its pickled results, or its first failing task and
+    error, and ends with ``os._exit``. A share whose fork fails runs here
+    too. Every child is reaped before this returns or raises. The error
+    raised is the one of the first failing task, as the list comprehension
+    raises it; children whose shares start after a known failing task are
+    killed unread. A child ended by a signal raises ``WorkerError`` naming
+    the signal. With one worker every task runs here.
+
+    A forked child shares ``work``'s closure (model, graph, queries) without
+    pickling it. It assumes this process runs no other Python thread, whose
+    held locks the child would inherit; the ``kgreason`` commands run none.
+    """
+    workers = worker_count(len(tasks))
+    if workers <= 1:
+        return [work(task) for task in tasks]
+    shares = split_tasks(weights, workers)
+    results: list = [None] * len(tasks)
+    failures: list[tuple[int, BaseException]] = []     # (failing task, its error)
+    children: list[tuple[int, int, list[int]]] = []     # (pid, read end, share) not yet reaped
+    try:
+        mine = shares[0]
+        for share in shares[1:]:
+            try:
+                children.append(_fork_share(work, tasks, share))
+            except OSError:                             # no process to be had: run the share here
+                mine = sorted(mine + share)
+        for t in mine:
+            try:
+                results[t] = work(tasks[t])
+            except Exception as exc:
+                failures.append((t, exc))
+                break
+        while children:
+            pid, read_end, share = children.pop(0)
+            if failures and share[0] > min(failures, key=lambda f: f[0])[0]:
+                _kill(pid, read_end)                    # nothing it runs precedes that failure
+                continue
+            failed_at, outcome = _collect(pid, read_end)
+            if failed_at is None:
+                for t, result in zip(share, outcome):
+                    results[t] = result
+            else:
+                failures.append((failed_at, outcome))
+    except BaseException:
+        for pid, read_end, _ in children:
+            _kill(pid, read_end)
+        raise
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
+
+
+def _fork_share(work, tasks, share: list[int]) -> tuple[int, int, list[int]]:
+    """Start a child that runs ``share`` and writes the pickled outcome to a pipe; returns (pid, read end, share).
+
+    The outcome is ``(None, results)``, or ``(failing task, error)``. An
+    error that does not survive pickling is sent as a ``WorkerError`` naming it.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            t = share[0]
+            try:
+                results = []
+                for t in share:
+                    results.append(work(tasks[t]))
+                payload = pickle.dumps((None, results))
+            except BaseException as exc:   # KeyboardInterrupt too: the caller re-raises it
+                try:
+                    payload = pickle.dumps((t, exc))
+                    pickle.loads(payload)   # an error whose class cannot be rebuilt fails here
+                except Exception:
+                    payload = pickle.dumps((t, WorkerError(f"{type(exc).__name__}: {exc}")))
+            with open(write_end, "wb") as fh:
+                fh.write(payload)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end, share
+
+
+def _collect(pid: int, read_end: int) -> tuple:
+    """Read a child's pipe to EOF, close it and reap the child; its outcome, as ``_fork_share`` describes it."""
+    payload = None
+    try:
+        with open(read_end, "rb") as pipe:
+            payload = pipe.read()
+    finally:
+        if payload is None:                 # the read was interrupted: the child may still run
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    if os.WIFSIGNALED(status):
+        number = os.WTERMSIG(status)
+        try:
+            name = signal.Signals(number).name
+        except ValueError:
+            name = str(number)
+        raise WorkerError(f"evaluation worker {pid} was killed by signal {name}")
+    try:
+        return pickle.loads(payload)
+    except Exception:
+        raise WorkerError(f"evaluation worker {pid} exited with code {os.WEXITSTATUS(status)} "
+                          f"and no readable outcome") from None
+
+
+def _kill(pid: int, read_end: int) -> None:
+    """Close a child's pipe, kill it and reap it."""
+    os.close(read_end)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)

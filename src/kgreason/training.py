@@ -433,8 +433,9 @@ def _param_norms(params: ModelParams, worst: int = 5) -> str:
 
 def check_train_settings(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainConfig) -> None:
     """Refuse settings the training loop or the dataset cannot support (``train`` runs this first)."""
-    for key, least in (("batch_size", 1), ("eval_interval", 1), ("num_negatives", 0), ("seed", 0),
-                       ("max_valid_queries", 0), ("epochs", 0), ("learning_rate", 0), ("weight_decay", 0)):
+    for key, least in (("batch_size", 1), ("eval_interval", 1), ("patience", 1), ("num_negatives", 0),
+                       ("seed", 0), ("max_valid_queries", 0), ("epochs", 0), ("learning_rate", 0),
+                       ("weight_decay", 0)):
         value = getattr(train_config, key)
         if value is not None and not least <= value < math.inf:   # NaN fails too
             finite = "" if math.isfinite(value) else "finite and "

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -165,6 +167,48 @@ def damage_layout(path, fault: str) -> None:
                        ck.rng_states, ck.training_state)
     else:  # one relation token more than the tensors were built for
         rewrite_header(path, lambda h: h["relation_tokens"].append("extra"))
+
+
+class ProcessLog:
+    """Records appended by this process and by the children it forks, read back in arrival order.
+
+    Spies inside ``evaluate`` run in every worker; a list would keep only
+    this process's calls, so they append to a file (one write per record).
+    """
+
+    def __init__(self, path):
+        self.path = path
+
+    def append(self, record) -> None:
+        blob = pickle.dumps(record)
+        with open(self.path, "ab") as fh:
+            fh.write(len(blob).to_bytes(8, "little") + blob)
+
+    def records(self) -> list:
+        out = []
+        if not os.path.exists(self.path):
+            return out
+        with open(self.path, "rb") as fh:
+            while head := fh.read(8):
+                out.append(pickle.loads(fh.read(int.from_bytes(head, "little"))))
+        return out
+
+
+@pytest.fixture
+def process_log(tmp_path):
+    return ProcessLog(tmp_path / "calls.log")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    state = f"reaped {pid} here" if pid else "still running"
+    pytest.fail(f"the test left a child process behind ({state})")
 
 
 @pytest.fixture

@@ -274,6 +274,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize("item, message", [
         ("training.batch_size=0", "training.batch_size must be >= 1, got 0"),
         ("training.eval_interval=0", "training.eval_interval must be >= 1, got 0"),
+        ("training.patience=0", "training.patience must be >= 1, got 0"),
+        ("training.patience=-1", "training.patience must be >= 1, got -1"),
         ("training.num_negatives=-1", "training.num_negatives must be >= 0, got -1"),
         ("training.epochs=-1", "training.epochs must be >= 0, got -1"),
         ("training.learning_rate=nan", "training.learning_rate must be finite and >= 0, got nan"),
@@ -681,7 +683,7 @@ def test_operator_path_mistake_exits_2(toy_config, toy_data, tmp_path, mistake, 
 USER_ERRORS = {"UserError", "ConfigError", "DenseScopeError", "CheckpointError", "DatasetError", "ParseError",
                "VocabularyError"}
 INTERNAL_ERRORS = {"ShapeError", "ContractError", "DeterminismError", "GraphError", "RankingError",
-                   "MetricsError", "SamplingError", "TrainingDiverged"}
+                   "MetricsError", "SamplingError", "TrainingDiverged", "WorkerError"}
 
 
 def _kgreason_exceptions():
