@@ -86,14 +86,26 @@ class Parameter(Tensor):
     relies on. The optimizer (or ``zero_grad``) resets it between steps.
     With ``grad=False`` there is no accumulator (``grad`` is ``None``), for
     parameters that are only read.
+
+    While ``deferred`` is a list, backward passes append to it, in order,
+    each operand they would add into ``grad`` (a copy of one they do not
+    own) and leave ``grad`` alone; ``grad += c`` over the list later gives
+    the bits the direct additions would have.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "deferred")
 
     def __init__(self, name: str, data, dtype=None, grad: bool = True):
         super().__init__(data, dtype)
         self.name = name
         self.grad = np.zeros_like(self.data) if grad else None
+        self.deferred = None
+
+    def _add_grad(self, g: np.ndarray, fresh: bool = False) -> None:
+        if self.deferred is None:
+            super()._add_grad(g, fresh)
+        else:
+            self.deferred.append(g if fresh else np.array(g))
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0

@@ -33,7 +33,10 @@ class MetricsError(Exception):
 
 
 class WorkerError(Exception):
-    """An evaluation worker ended without a usable result (a signal, or an error it could not send)."""
+    """A forked worker or training replica ended without a usable result.
+
+    It was ended by a signal, or failed with an error it could not send.
+    """
 
 
 @dataclass
@@ -301,7 +304,7 @@ def map_in_workers(work: Callable[[object], object], tasks: Sequence, weights: S
         while children:
             pid, read_end, share = children.pop(0)
             if failures and share[0] > min(failures, key=lambda f: f[0])[0]:
-                _kill(pid, read_end)                    # nothing it runs precedes that failure
+                kill_child(pid, read_end)                # nothing it runs precedes that failure
                 continue
             failed_at, outcome = _collect(pid, read_end)
             if failed_at is None:
@@ -311,7 +314,7 @@ def map_in_workers(work: Callable[[object], object], tasks: Sequence, weights: S
                 failures.append((failed_at, outcome))
     except BaseException:
         for pid, read_end, _ in children:
-            _kill(pid, read_end)
+            kill_child(pid, read_end)
         raise
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
@@ -342,11 +345,7 @@ def _fork_share(work, tasks, share: list[int]) -> tuple[int, int, list[int]]:
                     results.append(work(tasks[t]))
                 payload = pickle.dumps((None, results))
             except BaseException as exc:   # KeyboardInterrupt too: the caller re-raises it
-                try:
-                    payload = pickle.dumps((t, exc))
-                    pickle.loads(payload)   # an error whose class cannot be rebuilt fails here
-                except Exception:
-                    payload = pickle.dumps((t, WorkerError(f"{type(exc).__name__}: {exc}")))
+                payload = pickle.dumps((t, sendable_error(exc)))
             with open(write_end, "wb") as fh:
                 fh.write(payload)
             code = 0
@@ -358,30 +357,48 @@ def _fork_share(work, tasks, share: list[int]) -> tuple[int, int, list[int]]:
 
 def _collect(pid: int, read_end: int) -> tuple:
     """Read a child's pipe to EOF, close it and reap the child; its outcome, as ``_fork_share`` describes it."""
-    payload = None
     try:
         with open(read_end, "rb") as pipe:
             payload = pipe.read()
-    finally:
-        if payload is None:                 # the read was interrupted: the child may still run
-            os.kill(pid, signal.SIGKILL)
-        _, status = os.waitpid(pid, 0)
+    except BaseException:                   # the read was interrupted: the child may still run
+        kill_child(pid)
+        raise
+    code = reap_child(pid, "evaluation worker")
+    try:
+        return pickle.loads(payload)
+    except Exception:
+        raise WorkerError(f"evaluation worker {pid} exited with code {code} "
+                          f"and no readable outcome") from None
+
+
+def sendable_error(exc: BaseException) -> BaseException:
+    """``exc``, or a ``WorkerError`` naming it where it does not survive pickling."""
+    try:
+        pickle.loads(pickle.dumps(exc))   # an error whose class cannot be rebuilt fails here
+    except Exception:
+        return WorkerError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
+def reap_child(pid: int, role: str) -> int:
+    """Wait for the child ``pid`` to end; its exit code.
+
+    A child ended by a signal raises ``WorkerError`` naming ``role``, the pid and the signal.
+    """
+    _, status = os.waitpid(pid, 0)
     if os.WIFSIGNALED(status):
         number = os.WTERMSIG(status)
         try:
             name = signal.Signals(number).name
         except ValueError:
             name = str(number)
-        raise WorkerError(f"evaluation worker {pid} was killed by signal {name}")
-    try:
-        return pickle.loads(payload)
-    except Exception:
-        raise WorkerError(f"evaluation worker {pid} exited with code {os.WEXITSTATUS(status)} "
-                          f"and no readable outcome") from None
+        raise WorkerError(f"{role} {pid} was killed by signal {name}")
+    return os.WEXITSTATUS(status)
 
 
-def _kill(pid: int, read_end: int) -> None:
-    """Close a child's pipe, kill it and reap it."""
-    os.close(read_end)
+def kill_child(pid: int, *fds: int) -> None:
+    """Close this process's ends of a child's pipes, kill the child and reap it."""
+    for fd in fds:
+        os.close(fd)
     os.kill(pid, signal.SIGKILL)
     os.waitpid(pid, 0)

@@ -8,9 +8,11 @@ pinned in tests and two runs with the same seed are bit-identical.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
+import pickle
 import time
 from dataclasses import asdict, dataclass, fields as dataclass_fields
 from typing import Optional, Sequence
@@ -20,7 +22,7 @@ import numpy as np
 from . import UserError
 from .autodiff import Parameter, Tape, Tensor
 from .data import DatasetSplit, KnowledgeGraph, Vocabulary, build_graph, make_queries, query_filters
-from .evaluation import evaluate
+from .evaluation import WorkerError, evaluate, kill_child, reap_child, sendable_error, worker_count
 from .model import (
     DENSE_GUARD, FFN_DEPTH, FFN_MULTIPLIER, LAYER_NORM_EPS, MLP_DEPTH, NORM_EPS, ConfigError,
     ModelConfig, ModelParams, forward, make_noise,
@@ -209,9 +211,11 @@ def save_checkpoint(path: str, ck: Checkpoint) -> None:
     load_checkpoint(p1))`` writes the bytes of ``p1`` again. The header's
     ``tensors`` list is ``_tensor_table(ck.params)``, and the payload is its
     arrays in that order, little-endian, each written straight from its
-    array. The header is canonical JSON (sorted keys). The file is written
-    beside ``path`` and renamed over it, so a save that fails partway leaves
-    the previous file intact.
+    array. The header is canonical JSON (sorted keys), streamed from the
+    encoder into the file a few KB at a time, so no string of the whole
+    header is held; its length is written last. The file is written beside
+    ``path`` and renamed over it, so a save that fails partway leaves the
+    previous file intact.
     """
     params, adam = ck.params, ck.adam
     plist = params.parameters()
@@ -230,15 +234,19 @@ def save_checkpoint(path: str, ck: Checkpoint) -> None:
         "training_state": ck.training_state,
         "tensors": _tensor_table(params),
     }
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(len(head).to_bytes(8, "little"))
-            fh.write(head)
+            fh.write(bytes(8))                  # the header's length, patched in below
+            chunks = json.JSONEncoder(sort_keys=True, separators=(",", ":")).iterencode(header)
+            while batch := list(itertools.islice(chunks, 256)):   # a few KB per write
+                fh.write("".join(batch).encode())   # ASCII: the encoder escapes everything else
+            head_len = fh.tell() - len(_MAGIC) - 8
             for arr in arrays:
                 fh.write(np.ascontiguousarray(arr, dtype=wire))
+            fh.seek(len(_MAGIC))
+            fh.write(head_len.to_bytes(8, "little"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -390,6 +398,169 @@ def split_queries(dataset: DatasetSplit, *splits: str) -> list:
     return out
 
 
+# --- batch replicas ----------------------------------------------------------
+
+_DONE, _FAILED = b"\x00", b"\x01"   # a replica's status byte for its share of a batch
+
+
+def _batch_shares(size: int, processes: int) -> list[range]:
+    """Each process's contiguous positions in a batch of ``size`` queries, in order.
+
+    The first ``size % processes`` shares hold one query more than the rest.
+    """
+    base, extra = divmod(size, processes)
+    starts = [j * base + min(j, extra) for j in range(processes + 1)]
+    return [range(starts[j], starts[j + 1]) for j in range(processes)]
+
+
+def _send(fd: int, *buffers) -> None:
+    """Write all the bytes of each buffer (bytes, or a contiguous array) to the pipe ``fd``."""
+    for buf in buffers:
+        view = memoryview(buf).cast("B")
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def _receive(fd: int, *arrays) -> bool:
+    """Fill each contiguous array in place from the pipe ``fd``; False if the pipe ends first."""
+    for arr in arrays:
+        view = memoryview(arr).cast("B")
+        while view:
+            count = os.readv(fd, [view])
+            if not count:
+                return False
+            view = view[count:]
+    return True
+
+
+class _Replicas:
+    """Forked copies of a training run that each run a share of every batch of one epoch.
+
+    This process is process 0 and replica i is process i; ``_batch_shares``
+    gives each its queries. A replica records its parameters' gradient
+    contributions (``Parameter.deferred``) and, per batch with queries,
+    sends a status byte and its losses as float64. This process then passes
+    the running gradient down the chain, as raw bytes from and into the
+    ``grad`` buffers: replica i receives the sum over the shares before its
+    own, adds its contributions in order and sends the sum back. Each
+    parameter's accumulator thus sees the ``+=`` operands of one process
+    running the batch in order. Before the next batch, every replica but
+    the last receives the batch's gradient, and every process takes the
+    same Adam step. Only the epoch's last batch can leave a replica without
+    queries; after its fold the replicas end, and this process alone steps.
+    A replica whose share fails sends its error, pickled, in place of its
+    losses; one that is ended by a signal raises ``WorkerError`` naming it.
+
+    A replica ends through ``os._exit`` when the epoch ends, or when its
+    pipe from this process closes, and never unwinds into the caller.
+    """
+
+    def __init__(self, count: int, run):
+        """Fork ``count`` replicas; replica i runs ``run(i, count + 1, read end, write end)``.
+
+        If a fork fails, the replicas already made are killed, so this
+        process runs every share.
+        """
+        self.children: list[tuple[int, int, int]] = []   # (pid, pipe down, pipe up), in replica order
+        try:
+            for index in range(1, count + 1):
+                self.children.append(self._fork(index, count + 1, run))
+        except BaseException as exc:
+            self.kill()
+            if not isinstance(exc, OSError):   # no process or pipe to be had: run here
+                raise
+
+    def _fork(self, index: int, processes: int, run) -> tuple[int, int, int]:
+        """Start replica ``index`` with a pipe each way; its pid and this process's ends of the pipes."""
+        fds: list[int] = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        down_read, down_write, up_read, up_write = fds
+        if pid == 0:
+            code = 1
+            try:
+                for fd in (down_write, up_read, *(fd for _, *ends in self.children for fd in ends)):
+                    os.close(fd)
+                run(index, processes, down_read, up_write)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(down_read)
+        os.close(up_write)
+        return pid, down_write, up_read
+
+    def shares(self, size: int) -> list[range]:
+        return _batch_shares(size, len(self.children) + 1)
+
+    def fold(self, grads: list, size: int) -> list:
+        """Pass ``grads`` (this process's share's sum) down the chain; the replicas' losses in query order.
+
+        On return ``grads`` hold the whole batch's gradient.
+        """
+        losses = []
+        for k, share in enumerate(self.shares(size)[1:]):
+            if not share:
+                break
+            _, down, up = self.children[k]
+            got = np.empty(len(share))
+            status = os.read(up, 1)
+            if status != _DONE or not _receive(up, got):
+                raise self._failure(k, status)
+            losses += got.tolist()
+            self._send_grads(k, grads)
+            if not _receive(up, *grads):
+                raise self._failure(k, b"")
+        return losses
+
+    def share_final(self, grads: list) -> None:
+        """Send a full batch's gradient to every replica but the last, whose share it ended with."""
+        for k in range(len(self.children) - 1):
+            self._send_grads(k, grads)
+
+    def _send_grads(self, k: int, grads: list) -> None:
+        try:
+            _send(self.children[k][1], *grads)
+        except BrokenPipeError:
+            raise self._failure(k, b"") from None
+
+    def _failure(self, k: int, status: bytes) -> BaseException:
+        """The error replica ``k`` ended with, after reaping it: the one it sent, or a ``WorkerError``."""
+        pid, down, up = self.children.pop(k)
+        os.close(down)
+        try:
+            with open(up, "rb") as pipe:
+                payload = pipe.read() if status == _FAILED else b""
+        except BaseException:                        # the read was interrupted: the replica may still run
+            kill_child(pid)
+            raise
+        code = reap_child(pid, "training replica")   # one ended by a signal raises here
+        try:
+            return pickle.loads(payload)
+        except Exception:
+            return WorkerError(f"training replica {pid} exited with code {code} and no result")
+
+    def close(self) -> None:
+        """Reap every replica at the end of the epoch."""
+        while self.children:
+            pid, down, up = self.children.pop(0)
+            os.close(down)
+            os.close(up)
+            code = reap_child(pid, "training replica")
+            if code:
+                raise WorkerError(f"training replica {pid} exited with code {code}")
+
+    def kill(self) -> None:
+        """Kill and reap every replica left."""
+        while self.children:
+            kill_child(*self.children.pop())
+
+
 # --- training loop -----------------------------------------------------------
 
 
@@ -501,7 +672,10 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
     query's own edge and its inverse are dropped from message passing so
     the answer cannot leak through the graph. ``resume``, a checkpoint loaded
     with its moments, continues the run it records; its arrays are trained
-    in place.
+    in place. Where ``worker_count`` allows more than one process for a
+    batch, each epoch's batches are shared with forked replicas
+    (``_Replicas``), which are reaped before the epoch's validation, any
+    save and any raise; every output is bit for bit that of one process.
     """
     check_train_settings(dataset, model_config, train_config)
     num_rel_aug = 2 * dataset.num_relations
@@ -549,54 +723,110 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
         logger.emit(rec)
         return rec
 
+    plist = params.parameters()
+    grads = [p.grad for p in plist]   # filled in place, never replaced
+
+    def query_losses(batch, share: range) -> list:
+        """Losses of the queries at ``share``'s positions in ``batch``, after their backward passes.
+
+        Every query's negatives and noise are drawn, in batch order, so the
+        streams stay in step in every process that runs a share of the batch.
+        """
+        nonlocal fwd_s, bwd_s
+        losses = []
+        for i, qi in enumerate(batch):
+            q = train_queries[qi]
+            negs = sample_negatives(rngs["negatives"], graph.num_entities, q.gold_tail,
+                                    train_config.num_negatives)
+            noise = make_noise(model_config, graph.num_entities,
+                               rngs["noise"] if model_config.noise_mode == "per_forward" else None)
+            if i not in share:
+                continue
+            t_fwd = time.perf_counter()
+            tape = Tape()
+            scores = forward(tape, graph, q, params, model_config, noise, exclude_query_edge=True)
+            loss = negative_sampling_loss(tape, scores, q.gold_tail, negs)
+            t_bwd = time.perf_counter()
+            tape.backward(tape.scale(loss, 1.0 / len(batch)))
+            losses.append(loss.item())
+            t_end = time.perf_counter()
+            fwd_s += t_bwd - t_fwd
+            bwd_s += t_end - t_bwd
+        return losses
+
+    def replica(index: int, processes: int, down: int, up: int) -> None:
+        """Replica ``index``'s part of the epoch's batches (see ``_Replicas``)."""
+        for p in plist:
+            p.deferred = []
+        for batch in batches:
+            share = _batch_shares(len(batch), processes)[index]
+            if not share:                  # only the epoch's last batch can leave a replica none
+                return
+            try:
+                losses = query_losses(batch, share)
+            except BaseException as exc:   # KeyboardInterrupt too: the caller re-raises it
+                _send(up, _FAILED, pickle.dumps(sendable_error(exc)))
+                return
+            _send(up, _DONE, np.array(losses, dtype=np.float64))
+            if not _receive(down, *grads):
+                return
+            for p in plist:
+                for contribution in p.deferred:
+                    p.grad += contribution
+                p.deferred.clear()
+            _send(up, *grads)
+            if batch is batches[-1]:       # the caller alone steps after the epoch's last batch
+                return
+            if index != processes - 1 and not _receive(down, *grads):
+                return
+            adam_step(plist, adam, train_config)
+
     stop = False
     for epoch in range(run["epoch"] + 1, train_config.epochs + 1):
         run["epoch"] = epoch
         t0 = time.perf_counter()
         order = rngs["shuffle"].permutation(len(train_queries))
+        size = train_config.batch_size
+        batches = [order[lo:lo + size] for lo in range(0, len(order), size)]
         epoch_loss = 0.0
         grad_norm = 0.0
         fwd_s = bwd_s = opt_s = 0.0
-        for batch_no, lo in enumerate(range(0, len(order), train_config.batch_size)):
-            batch = order[lo:lo + train_config.batch_size]
-            params.zero_grad()
-            batch_loss = 0.0
-            for qi in batch:
-                q = train_queries[qi]
-                negs = sample_negatives(rngs["negatives"], graph.num_entities, q.gold_tail,
-                                        train_config.num_negatives)
-                noise = make_noise(model_config, graph.num_entities,
-                                   rngs["noise"] if model_config.noise_mode == "per_forward" else None)
-                t_fwd = time.perf_counter()
-                tape = Tape()
-                scores = forward(tape, graph, q, params, model_config, noise,
-                                 exclude_query_edge=True)
-                loss = negative_sampling_loss(tape, scores, q.gold_tail, negs)
-                t_bwd = time.perf_counter()
-                tape.backward(tape.scale(loss, 1.0 / len(batch)))
-                batch_loss += loss.item()
-                t_end = time.perf_counter()
-                fwd_s += t_bwd - t_fwd
-                bwd_s += t_end - t_bwd
-            t_opt = time.perf_counter()
-            if not np.isfinite(batch_loss):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch {batch_no}; "
-                    f"largest parameter norms: {_param_norms(params)}")
-            # One sweep per group gives both the finiteness check and the squared norm:
-            # a non-finite entry makes the float64 sum non-finite (as does a norm
-            # past float64's range, which counts as diverged too).
-            sq_norm = 0.0
-            for p in params.parameters():
-                sq = float(np.einsum("ij,ij->", p.grad, p.grad, dtype=np.float64))
-                if not math.isfinite(sq):
-                    raise TrainingDiverged(f"non-finite gradient in {p.name} at epoch {epoch}, "
-                                           f"batch {batch_no}")
-                sq_norm += sq
-            grad_norm = max(grad_norm, math.sqrt(sq_norm))
-            adam_step(params.parameters(), adam, train_config)
-            opt_s += time.perf_counter() - t_opt
-            epoch_loss += batch_loss
+        replicas = _Replicas(worker_count(min(size, len(order))) - 1, replica)
+        try:
+            for batch_no, batch in enumerate(batches):
+                params.zero_grad()
+                losses = query_losses(batch, replicas.shares(len(batch))[0])
+                t_wait = time.perf_counter()
+                losses += replicas.fold(grads, len(batch))
+                t_opt = time.perf_counter()
+                bwd_s += t_opt - t_wait
+                batch_loss = 0.0
+                for loss in losses:   # in query order, as one process adds them
+                    batch_loss += loss
+                if not np.isfinite(batch_loss):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch}, batch {batch_no}; "
+                        f"largest parameter norms: {_param_norms(params)}")
+                # One sweep per group gives both the finiteness check and the squared norm:
+                # a non-finite entry makes the float64 sum non-finite (as does a norm
+                # past float64's range, which counts as diverged too).
+                sq_norm = 0.0
+                for p in plist:
+                    sq = float(np.einsum("ij,ij->", p.grad, p.grad, dtype=np.float64))
+                    if not math.isfinite(sq):
+                        raise TrainingDiverged(f"non-finite gradient in {p.name} at epoch {epoch}, "
+                                               f"batch {batch_no}")
+                    sq_norm += sq
+                grad_norm = max(grad_norm, math.sqrt(sq_norm))
+                if batch_no + 1 < len(batches):
+                    replicas.share_final(grads)
+                adam_step(plist, adam, train_config)
+                opt_s += time.perf_counter() - t_opt
+                epoch_loss += batch_loss
+            replicas.close()
+        except BaseException:
+            replicas.kill()
+            raise
         mean_loss = epoch_loss / len(order)
         wall = time.perf_counter() - t0
         record(epoch, "train", loss=mean_loss, grad_norm=grad_norm, wall_ms=round(wall * 1000.0, 3),

@@ -8,9 +8,16 @@ import pickle
 import numpy as np
 import pytest
 
+from kgreason import evaluation
 from kgreason.data import Query, Triplet, build_graph
 from kgreason.model import ModelConfig, ModelParams
 from kgreason.training import AdamState, load_checkpoint
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make ``evaluate`` and ``train`` see ``cpus`` CPUs and a one-thread BLAS, so they use that many."""
+    monkeypatch.setattr(evaluation, "available_cpus", lambda: cpus)
+    monkeypatch.setattr(evaluation, "blas_threads", lambda: 1)
 
 
 def make_config(**overrides) -> ModelConfig:

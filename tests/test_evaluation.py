@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_model, random_graph
+from conftest import make_model, random_graph, use_cpus
 from kgreason import evaluation, model
 from kgreason.data import Query, build_graph, load_dataset, make_queries, query_filters
 from kgreason.evaluation import (
@@ -29,12 +29,6 @@ from kgreason.evaluation import (
 from kgreason.model import pin_noise, rmpnn_forward, score_query
 
 UMLS_DIR = os.path.join(os.path.dirname(__file__), "..", "data", "umls")
-
-
-def use_cpus(monkeypatch, cpus):
-    """Make ``evaluate`` see ``cpus`` CPUs and a one-thread BLAS, so it runs that many workers."""
-    monkeypatch.setattr(evaluation, "available_cpus", lambda: cpus)
-    monkeypatch.setattr(evaluation, "blas_threads", lambda: 1)
 
 
 def sort_rank_oracle(scores, gold, filter_mask=None):

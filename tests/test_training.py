@@ -1,17 +1,26 @@
-"""Sampling, loss, optimizer, loop-determinism, split-builder and checkpoint tests."""
+"""Sampling, loss, optimizer, loop-determinism, replica, split-builder and checkpoint tests."""
 
+import gc
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import (
-    LAYOUT_FAULTS, damage_layout, make_config, reference_save, rewrite_header, set_header,
+    LAYOUT_FAULTS, damage_layout, make_config, reference_save, rewrite_header, set_header, use_cpus,
 )
+from kgreason import training
 from kgreason.autodiff import Parameter, Tape, grad_check
 from kgreason.data import DatasetSplit, Triplet, Vocabulary
-from kgreason.model import ModelConfig, ModelParams
+from kgreason.evaluation import WorkerError, available_cpus
+from kgreason.model import ModelConfig, ModelParams, forward, make_noise
 from kgreason.training import (
     ADAM_EPS,
     AdamState,
@@ -30,6 +39,8 @@ from kgreason.training import (
     split_queries,
     train,
 )
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def toy_dataset(seed=0) -> DatasetSplit:
@@ -300,6 +311,236 @@ class TestTrainLoop:
         assert 0.0 < report.mrr <= 1.0
 
 
+def quiet(*args, **kwargs):
+    pass
+
+
+def train_outputs(out, mcfg, tcfg, resume=None) -> dict:
+    """Train the toy dataset into the directory ``out``; the bytes of each file written."""
+    out.mkdir()
+    train(toy_dataset(), mcfg, tcfg, out_dir=str(out), resume=resume, log=quiet)
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def count_replicas(monkeypatch) -> list:
+    """Pids of the training replicas forked from here on."""
+    pids = []
+
+    def forking(self, *args, _fork=training._Replicas._fork):
+        child = _fork(self, *args)
+        pids.append(child[0])
+        return child
+
+    monkeypatch.setattr(training._Replicas, "_fork", forking)
+    return pids
+
+
+def in_processes(monkeypatch, caller=None, replicas=None):
+    """Make each training forward call ``caller(query)`` here and ``replicas(query)`` in a replica."""
+    me = os.getpid()
+
+    def wrapped(tape, graph, query, *args, **kwargs):
+        act = caller if os.getpid() == me else replicas
+        if act is not None:
+            act(query)
+        return forward(tape, graph, query, *args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", wrapped)
+
+
+def first_query(position: int, tcfg: TrainConfig):
+    """The query at ``position`` of the toy dataset's first batch."""
+    [queries] = split_queries(toy_dataset(), "train")
+    return queries[training.rng_stream(tcfg.seed, "shuffle").permutation(len(queries))[position]]
+
+
+class TestTrainReplicas:
+    """``train`` with replicas (``use_cpus``): the bytes and the errors of one process."""
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("batch_size", [1, 5, 16, 23])
+    def test_replicas_write_the_bytes_of_one_process(self, tmp_path, monkeypatch, precision, batch_size):
+        # 24 queries: batches of 5 leave a short last batch of 4, and batches of 23 a last batch
+        # of one, so every replica's share of it is empty; validation every epoch writes best.bin
+        mcfg = make_config(noise_mode="per_forward", precision=precision)
+        tcfg = toy_train_config(epochs=2, eval_interval=1, batch_size=batch_size, weight_decay=1e-3)
+        outputs = {}
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            replicas = count_replicas(monkeypatch)
+            outputs[cpus] = train_outputs(tmp_path / f"cpus{cpus}", mcfg, tcfg)
+            assert len(replicas) == 2 * (min(cpus, batch_size) - 1)   # per epoch
+        assert sorted(outputs[1]) == ["best.bin", "checkpoint.bin", "metrics.jsonl"]
+        assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+
+    def test_a_failed_fork_trains_in_one_process(self, tmp_path, monkeypatch):
+        mcfg = make_config(noise_mode="per_forward")
+        alone = train_outputs(tmp_path / "alone", mcfg, toy_train_config())
+        use_cpus(monkeypatch, 3)
+        forks = []
+
+        def fork_once(_fork=os.fork):
+            forks.append(None)
+            if len(forks) % 2 == 0:   # each epoch's second replica
+                raise OSError("no process to be had")
+            return _fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        assert train_outputs(tmp_path / "forked", mcfg, toy_train_config()) == alone
+        assert len(forks) == 6   # three epochs; the first replica of each was killed
+
+    def test_resume_with_replicas_continues_the_run(self, tmp_path, monkeypatch):
+        mcfg = make_config(noise_mode="per_forward", precision="float32")
+        straight = train_outputs(tmp_path / "straight", mcfg, toy_train_config(epochs=2, eval_interval=1))
+        train_outputs(tmp_path / "half", mcfg, toy_train_config(epochs=1, eval_interval=1))
+        use_cpus(monkeypatch, 3)
+        replicas = count_replicas(monkeypatch)
+        resumed = train_outputs(tmp_path / "resumed", mcfg, toy_train_config(epochs=2, eval_interval=1),
+                                resume=load_checkpoint(str(tmp_path / "half" / "checkpoint.bin")))
+        assert len(replicas) == 2
+        assert resumed["checkpoint.bin"] == straight["checkpoint.bin"]
+        assert resumed["metrics.jsonl"] == straight["metrics.jsonl"].split(b"\n", 2)[2]   # epoch 2's records
+
+    @pytest.mark.parametrize("failing", ["replicas", "everywhere"])
+    def test_first_failing_query_error_is_raised(self, monkeypatch, failing):
+        def fail(query):
+            raise KeyError(f"query {query}")
+
+        use_cpus(monkeypatch, 3)
+        in_processes(monkeypatch, caller=fail if failing == "everywhere" else None, replicas=fail)
+        tcfg = toy_train_config()
+        # batches of 4 split into shares [0, 1], [2] and [3]; both replicas fail on their first query
+        expected = first_query(0 if failing == "everywhere" else 2, tcfg)
+        with pytest.raises(KeyError) as err:
+            train(toy_dataset(), make_config(noise_mode="per_forward"), tcfg, log=quiet)
+        assert err.value.args == (f"query {expected}",)
+
+    def test_caller_error_kills_the_replicas(self, monkeypatch):
+        def fail(query):
+            raise ValueError("this process's share failed")
+
+        use_cpus(monkeypatch, 3)
+        in_processes(monkeypatch, caller=fail, replicas=lambda query: time.sleep(60))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="this process's share failed"):
+            train(toy_dataset(), make_config(noise_mode="per_forward"), toy_train_config(), log=quiet)
+        assert time.perf_counter() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_replica_killed_by_signal_is_named(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        in_processes(monkeypatch, replicas=lambda query: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(WorkerError, match=r"^training replica \d+ was killed by signal SIGKILL$"):
+            train(toy_dataset(), make_config(noise_mode="per_forward"), toy_train_config(), log=quiet)
+
+    @pytest.mark.parametrize("poisoned", ["gradient", "replica loss"])
+    def test_divergence_reaps_the_replicas(self, monkeypatch, poisoned):
+        use_cpus(monkeypatch, 3)
+        if poisoned == "gradient":
+            # zero_grad runs in this process only: the NaN rides down the chain
+            original = ModelParams.zero_grad
+
+            def zero_grad(params):
+                original(params)
+                params.relations.grad[0, 0] = np.nan
+
+            monkeypatch.setattr(ModelParams, "zero_grad", zero_grad)
+            message = r"non-finite gradient in relations at epoch 1, batch 0"
+        else:
+            caller = os.getpid()
+
+            def nan_in_replicas(tape, scores, gold, negatives, _loss=training.negative_sampling_loss):
+                loss = _loss(tape, scores, gold, negatives)
+                if os.getpid() != caller:
+                    loss.data[...] = np.nan
+                return loss
+
+            monkeypatch.setattr(training, "negative_sampling_loss", nan_in_replicas)
+            message = r"non-finite loss at epoch 1, batch 0"
+        with pytest.raises(TrainingDiverged, match=message):
+            train(toy_dataset(), make_config(noise_mode="per_forward"), toy_train_config(), log=quiet)
+        # the autouse no_child_left fixture checks that every replica was reaped
+
+    def test_deferred_contributions_replay_to_the_direct_sum(self):
+        # what a replica does: record each parameter's += operands, then add them in order later
+        ds = toy_dataset()
+        mcfg = make_config(noise_mode="per_forward", precision="float32")
+        graph, _ = split_graph(ds, "train")
+        [queries] = split_queries(ds, "train")
+        params = ModelParams(mcfg, 4, np.random.default_rng(3))
+        noise_rng = np.random.default_rng(4)
+        noises = [make_noise(mcfg, graph.num_entities, noise_rng) for _ in range(3)]
+
+        def backward(query, noise):
+            tape = Tape()
+            scores = forward(tape, graph, query, params, mcfg, noise, exclude_query_edge=True)
+            tape.backward(tape.scale(training.negative_sampling_loss(tape, scores, query.gold_tail,
+                                                                     np.array([0, 5])), 1.0 / 3))
+            return weakref.ref(tape)
+
+        for query, noise in zip(queries, noises):
+            backward(query, noise)
+        direct = [p.grad.copy() for p in params.parameters()]
+        params.zero_grad()
+        for p in params.parameters():
+            p.deferred = []
+        gc.disable()
+        try:
+            for query, noise in zip(queries, noises):
+                # no backward closure or recorded operand holds its tape: it is freed at once
+                assert backward(query, noise)() is None
+        finally:
+            gc.enable()
+        for p, want in zip(params.parameters(), direct):
+            assert not p.grad.any() and p.deferred
+            for contribution in p.deferred:
+                p.grad += contribution
+            assert p.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or available_cpus() < 2,
+                    reason="needs two CPUs and sched_setaffinity")
+def test_train_on_one_and_two_cpus_writes_the_same_bytes(tmp_path):
+    """The real gate, unpatched: ``kgreason train`` pinned to one CPU and to two, BLAS on one thread."""
+    data = tmp_path / "umls"
+    data.mkdir()
+    with open(os.path.join(ROOT, "data", "umls", "train.txt"), encoding="utf-8") as fh:
+        facts = fh.readlines()[:120]
+    known = {token for fact in facts for token in fact.split()}
+    with open(os.path.join(ROOT, "data", "umls", "valid.txt"), encoding="utf-8") as fh:
+        valid = [fact for fact in fh if set(fact.split()) <= known][:20]
+    (data / "train.txt").write_text("".join(facts))
+    (data / "valid.txt").write_text("".join(valid))
+    (data / "test.txt").write_text("")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(training.__file__)))
+    first, second = sorted(os.sched_getaffinity(0))[:2]
+    outputs = {}
+    for cpus in ({first}, {first, second}):
+        def pin(cpus=cpus):
+            os.sched_setaffinity(0, cpus)
+
+        def run(*args):
+            done = subprocess.run([sys.executable, *args], env=env, preexec_fn=pin, capture_output=True,
+                                  text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            return done.stdout
+
+        gate = run("-c", "from kgreason.evaluation import blas_threads, worker_count; "
+                         "print(blas_threads(), worker_count(16))").split()
+        if gate[0] == "None":
+            pytest.skip("numpy's BLAS reports no thread count, so training stays in one process")
+        assert gate == ["1", str(len(cpus))]
+        out = tmp_path / f"cpus{len(cpus)}"
+        run("-c", "import sys; from kgreason.cli import main; sys.exit(main(sys.argv[1:]))",
+            "train", "--config", os.path.join(ROOT, "configs", "umls.cfg"), "--out", str(out),
+            "--set", f"dataset.path={data}", "--set", "training.epochs=2",
+            "--set", "training.log_timing=false", "--set", "run.verbosity=quiet")
+        outputs[len(cpus)] = [(out / name).read_bytes()
+                              for name in ("metrics.jsonl", "checkpoint.bin", "best.bin")]
+    assert outputs[2] == outputs[1]   # resolved.cfg names the output directory, so it differs
+
 def toy_inductive_dataset() -> DatasetSplit:
     """Four training entities; test facts live on a three-entity inference graph."""
     return DatasetSplit(
@@ -449,7 +690,7 @@ class TestCheckpointContainer:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
 
         class CrashingFile:
-            """Writes through to the real file, then fails once the header is out."""
+            """Writes through to the real file, then fails partway through the save."""
 
             def __init__(self, fh):
                 self.fh, self.writes = fh, 0
@@ -641,9 +882,12 @@ class TestCheckpointIO:
             load_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # A save holds at most one tensor's bytes beside its header's objects and their
-        # encoding (json.dumps may hold one string per token); a load holds little beside
-        # the parameter section's bytes. A copy of the payload breaks either bound.
-        assert save_peak < largest + header_cost
+        # A save streams the header's encoding into the file and writes each tensor
+        # straight from its array, so it holds little beside the header's objects (about
+        # a quarter of header_cost); a load holds little beside the parameter section's
+        # bytes. A string of the whole header (one string per token while it is joined),
+        # or a copy of the largest tensor or of the payload, breaks one bound or the other.
+        assert largest > header_cost / 2
+        assert save_peak < header_cost / 2
         assert load_peak < 1.5 * param_bytes
         assert ck.adam is None
