@@ -5,7 +5,8 @@ than the gold answer is removed from the candidate pool before counting.
 Ties are resolved by mean rank, which keeps the untrained-model baseline
 at its analytic random-ranking expectation. ``evaluate`` spreads its
 relation groups over one process per available CPU when numpy's BLAS runs
-on one thread.
+on one thread; ``Children`` forks and reaps those processes, and training's
+replicas.
 """
 
 from __future__ import annotations
@@ -131,9 +132,11 @@ def evaluate(
     it is computed once per relation and shared by that relation's pairs.
     The relation groups are spread over the available CPUs
     (``map_in_workers``); each worker holds one relation's query side and
-    one score vector at a time. Ranks, metrics and errors are those of one
+    one score vector at a time. If a pipe or a fork fails, every group is
+    ranked in this process. Ranks, metrics and errors are those of one
     process ranking every group in turn (a worker killed by a signal
-    raises ``WorkerError``).
+    raises ``WorkerError``). A CPU busy with other work delays the whole
+    call (``map_in_workers``).
     """
     eval_config = pin_noise(config, noise_seed)
     noise = make_noise(eval_config, graph.num_entities)
@@ -268,107 +271,61 @@ def map_in_workers(work: Callable[[object], object], tasks: Sequence, weights: S
     """``[work(task) for task in tasks]`` on ``worker_count(len(tasks))`` processes.
 
     The tasks are split by ``split_tasks``. This process runs the share that
-    holds task 0; every other share runs in a child made by ``os.fork``,
-    which sends back its pickled results, or its first failing task and
-    error, and ends with ``os._exit``. A share whose fork fails runs here
-    too. Every child is reaped before this returns or raises. The error
-    raised is the one of the first failing task, as the list comprehension
-    raises it; children whose shares start after a known failing task are
-    killed unread. A child ended by a signal raises ``WorkerError`` naming
-    the signal. With one worker every task runs here.
+    holds task 0; every other share runs in a child (``Children``), which
+    sends back its pickled results, or its first failing task and error. If
+    a pipe or a fork fails, the children already made are killed and every
+    task runs here. The error raised is the one of the first failing task,
+    as the list comprehension raises it: the shares are read in task order,
+    and the children whose shares start after a known failing task are
+    killed unread. Every child is reaped before this returns or raises. A
+    child ended by a signal raises ``WorkerError`` naming the signal.
 
-    A forked child shares ``work``'s closure (model, graph, queries) without
-    pickling it. It assumes this process runs no other Python thread, whose
-    held locks the child would inherit; the ``kgreason`` commands run none.
+    ``worker_count`` counts the CPUs this process may use, not the idle
+    ones, and this returns only when the slowest share is done, so a CPU
+    that is busy with other work delays the whole call.
     """
-    workers = worker_count(len(tasks))
-    if workers <= 1:
-        return [work(task) for task in tasks]
-    shares = split_tasks(weights, workers)
+    shares = split_tasks(weights, worker_count(len(tasks)))
+
+    def attempt(share: list[int], catch) -> tuple:
+        """``(None, results)`` of ``share``'s tasks, or ``(failing task, error)`` for a ``catch`` error."""
+        results = []
+        for t in share:
+            try:
+                results.append(work(tasks[t]))
+            except catch as exc:
+                return t, exc
+        return None, results
+
+    def run_share(index: int, _read_end: int, write_end: int) -> None:
+        # KeyboardInterrupt too: the caller re-raises it
+        failed_at, outcome = attempt(shares[index + 1], BaseException)
+        if failed_at is not None:
+            outcome = sendable_error(outcome)
+        send(write_end, pickle.dumps((failed_at, outcome)))
+
+    children = Children(len(shares) - 1, run_share, "evaluation worker")
+    if len(children.ends) + 1 < len(shares):   # a pipe or a fork failed: every task runs here
+        shares = [list(range(len(tasks)))]
     results: list = [None] * len(tasks)
     failures: list[tuple[int, BaseException]] = []     # (failing task, its error)
-    children: list[tuple[int, int, list[int]]] = []     # (pid, read end, share) not yet reaped
     try:
-        mine = shares[0]
-        for share in shares[1:]:
-            try:
-                children.append(_fork_share(work, tasks, share))
-            except OSError:                             # no process to be had: run the share here
-                mine = sorted(mine + share)
-        for t in mine:
-            try:
-                results[t] = work(tasks[t])
-            except Exception as exc:
-                failures.append((t, exc))
-                break
-        while children:
-            pid, read_end, share = children.pop(0)
+        for k, share in enumerate(shares):
             if failures and share[0] > min(failures, key=lambda f: f[0])[0]:
-                kill_child(pid, read_end)                # nothing it runs precedes that failure
-                continue
-            failed_at, outcome = _collect(pid, read_end)
+                break                                   # nothing the rest run precedes that failure
+            outcome = attempt(share, Exception) if k == 0 else children.outcome(k - 1)
+            if isinstance(outcome, WorkerError):
+                raise outcome
+            failed_at, outcome = outcome
             if failed_at is None:
                 for t, result in zip(share, outcome):
                     results[t] = result
             else:
                 failures.append((failed_at, outcome))
-    except BaseException:
-        for pid, read_end, _ in children:
-            kill_child(pid, read_end)
-        raise
+    finally:
+        children.kill()                                 # the children left unread
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
     return results
-
-
-def _fork_share(work, tasks, share: list[int]) -> tuple[int, int, list[int]]:
-    """Start a child that runs ``share`` and writes the pickled outcome to a pipe; returns (pid, read end, share).
-
-    The outcome is ``(None, results)``, or ``(failing task, error)``. An
-    error that does not survive pickling is sent as a ``WorkerError`` naming it.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            t = share[0]
-            try:
-                results = []
-                for t in share:
-                    results.append(work(tasks[t]))
-                payload = pickle.dumps((None, results))
-            except BaseException as exc:   # KeyboardInterrupt too: the caller re-raises it
-                payload = pickle.dumps((t, sendable_error(exc)))
-            with open(write_end, "wb") as fh:
-                fh.write(payload)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    return pid, read_end, share
-
-
-def _collect(pid: int, read_end: int) -> tuple:
-    """Read a child's pipe to EOF, close it and reap the child; its outcome, as ``_fork_share`` describes it."""
-    try:
-        with open(read_end, "rb") as pipe:
-            payload = pipe.read()
-    except BaseException:                   # the read was interrupted: the child may still run
-        kill_child(pid)
-        raise
-    code = reap_child(pid, "evaluation worker")
-    try:
-        return pickle.loads(payload)
-    except Exception:
-        raise WorkerError(f"evaluation worker {pid} exited with code {code} "
-                          f"and no readable outcome") from None
 
 
 def sendable_error(exc: BaseException) -> BaseException:
@@ -380,25 +337,123 @@ def sendable_error(exc: BaseException) -> BaseException:
     return exc
 
 
-def reap_child(pid: int, role: str) -> int:
-    """Wait for the child ``pid`` to end; its exit code.
+class Children:
+    """Forked children, each with a pipe each way, from their fork to their reaping.
 
-    A child ended by a signal raises ``WorkerError`` naming ``role``, the pid and the signal.
+    Child ``k`` (from 0) first closes every pipe end of the children made
+    before it, then runs ``run(k, read end, write end)`` on its ends of the
+    pipes from and to this process. It ends through ``os._exit``, with code
+    0 if ``run`` returns and 1 if it raises, and never unwinds into the
+    caller. If a pipe or a fork fails, the children already made are killed
+    and none is left, so the caller runs alone. ``role`` names a child in
+    errors.
+
+    A forked child shares the caller's memory (model, graph, queries)
+    without pickling it. It assumes this process runs no other Python
+    thread, whose held locks the child would inherit; the ``kgreason``
+    commands run none.
     """
-    _, status = os.waitpid(pid, 0)
-    if os.WIFSIGNALED(status):
-        number = os.WTERMSIG(status)
+
+    def __init__(self, count: int, run: Callable[[int, int, int], None], role: str):
+        self.role = role
+        self.ends: dict[int, tuple[int, int, int]] = {}   # child -> (pid, pipe to it, pipe from it)
         try:
-            name = signal.Signals(number).name
-        except ValueError:
-            name = str(number)
-        raise WorkerError(f"{role} {pid} was killed by signal {name}")
-    return os.WEXITSTATUS(status)
+            for k in range(count):
+                self.ends[k] = self._fork(k, run)
+        except BaseException as exc:
+            self.kill()
+            if not isinstance(exc, OSError):   # no pipe or process to be had: the caller runs alone
+                raise
+
+    def _fork(self, k: int, run) -> tuple[int, int, int]:
+        """Start child ``k``; its pid and this process's ends of its pipes."""
+        fds: list[int] = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        down_read, down_write, up_read, up_write = fds
+        if pid == 0:
+            code = 1
+            try:
+                for fd in (down_write, up_read, *(fd for _, *ends in self.ends.values() for fd in ends)):
+                    os.close(fd)
+                run(k, down_read, up_write)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(down_read)
+        os.close(up_write)
+        return pid, down_write, up_read
+
+    def outcome(self, k: int):
+        """Read child ``k``'s pipe to EOF, reap the child and return what it sent, unpickled.
+
+        A child that sent nothing readable gives a ``WorkerError`` naming
+        it and its exit code; one ended by a signal raises ``WorkerError``.
+        """
+        with open(self.ends[k][2], "rb", closefd=False) as pipe:   # an interrupted read leaves it to kill()
+            payload = pipe.read()
+        pid, code = self._reap(k)
+        try:
+            return pickle.loads(payload)
+        except Exception:
+            return WorkerError(f"{self.role} {pid} exited with code {code} and no result")
+
+    def close(self) -> None:
+        """Reap every child left as it ends by itself; a non-zero exit code raises ``WorkerError``."""
+        for k in list(self.ends):
+            pid, code = self._reap(k)
+            if code:
+                raise WorkerError(f"{self.role} {pid} exited with code {code}")
+
+    def kill(self) -> None:
+        """Kill and reap every child left."""
+        while self.ends:
+            _, (pid, down, up) = self.ends.popitem()
+            os.close(down)
+            os.close(up)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    def _reap(self, k: int) -> tuple[int, int]:
+        """Close this process's ends of child ``k``'s pipes and wait for it to end; its pid and exit code.
+
+        A child ended by a signal raises ``WorkerError`` naming it.
+        """
+        pid, down, up = self.ends.pop(k)
+        os.close(down)
+        os.close(up)
+        _, status = os.waitpid(pid, 0)
+        if os.WIFSIGNALED(status):
+            number = os.WTERMSIG(status)
+            try:
+                name = signal.Signals(number).name
+            except ValueError:
+                name = str(number)
+            raise WorkerError(f"{self.role} {pid} was killed by signal {name}")
+        return pid, os.WEXITSTATUS(status)
 
 
-def kill_child(pid: int, *fds: int) -> None:
-    """Close this process's ends of a child's pipes, kill the child and reap it."""
-    for fd in fds:
-        os.close(fd)
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
+def send(fd: int, *buffers) -> None:
+    """Write all the bytes of each buffer (bytes, or a contiguous array) to the pipe ``fd``."""
+    for buf in buffers:
+        view = memoryview(buf).cast("B")
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def receive(fd: int, *arrays) -> bool:
+    """Fill each contiguous array in place from the pipe ``fd``; False if the pipe ends first."""
+    for arr in arrays:
+        view = memoryview(arr).cast("B")
+        while view:
+            count = os.readv(fd, [view])
+            if not count:
+                return False
+            view = view[count:]
+    return True

@@ -1,6 +1,7 @@
 """Ranking and metric tests against sort-based and closed-form oracles."""
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from conftest import make_model, random_graph, use_cpus
 from kgreason import evaluation, model
 from kgreason.data import Query, build_graph, load_dataset, make_queries, query_filters
 from kgreason.evaluation import (
+    Children,
     MetricsError,
     RankingError,
     WorkerError,
@@ -24,6 +26,7 @@ from kgreason.evaluation import (
     map_in_workers,
     query_filter_mask,
     rank_answer,
+    send,
     split_tasks,
 )
 from kgreason.model import pin_noise, rmpnn_forward, score_query
@@ -366,14 +369,46 @@ class TestWorkers:
             assert out.stdout.strip() == threads
 
     def test_a_share_whose_fork_fails_runs_here(self, monkeypatch):
+        # a failed fork kills the children already made, and every task runs in this process
         use_cpus(monkeypatch, 3)
+        fork = os.fork
+        for forks_before_failing in (0, 1):   # every fork fails; the first succeeds and the second fails
+            forks = []
 
-        def failing_fork():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
+            def failing_fork():
+                forks.append(None)
+                if len(forks) > forks_before_failing:
+                    raise BlockingIOError(11, "Resource temporarily unavailable")
+                return fork()
 
-        monkeypatch.setattr(os, "fork", failing_fork)
-        pids = map_in_workers(lambda t: np.array([float(os.getpid()), t]), range(5), [1] * 5)
-        assert [p.tolist() for p in pids] == [[float(os.getpid()), t] for t in range(5)]
+            monkeypatch.setattr(os, "fork", failing_fork)
+            pids = map_in_workers(lambda t: np.array([float(os.getpid()), t]), range(5), [1] * 5)
+            assert [p.tolist() for p in pids] == [[float(os.getpid()), t] for t in range(5)]
+            assert len(forks) == forks_before_failing + 1
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    def test_a_child_holds_no_pipe_end_of_an_earlier_child(self, monkeypatch):
+        made = []   # every pipe end made here, its number possibly reused after a close
+
+        def recording_pipe(_pipe=os.pipe):
+            ends = _pipe()
+            made.extend(ends)
+            return ends
+
+        def run(k, read_end, write_end):
+            held = []
+            for fd in sorted(set(made) - {read_end, write_end}):
+                try:
+                    os.fstat(fd)
+                    held.append(fd)
+                except OSError:
+                    pass
+            send(write_end, pickle.dumps(held))
+
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        children = Children(3, run, "test child")
+        assert [children.outcome(k) for k in range(3)] == [[], [], []]
 
     @pytest.mark.parametrize("case", ["one worker", "no fork"])
     def test_runs_here_with_one_worker_or_no_fork(self, monkeypatch, case):
@@ -428,6 +463,18 @@ class TestWorkers:
             return np.zeros(1)
 
         with pytest.raises(WorkerError, match="^LocalError: boom$"):
+            map_in_workers(work, range(2), [1, 1])
+
+    def test_child_without_a_result_is_named_with_its_exit_code(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        caller = os.getpid()
+
+        def work(t):
+            if os.getpid() != caller:
+                os._exit(3)
+            return np.zeros(1)
+
+        with pytest.raises(WorkerError, match=r"^evaluation worker \d+ exited with code 3 and no result$"):
             map_in_workers(work, range(2), [1, 1])
 
     def test_child_killed_by_signal_is_named(self, monkeypatch):

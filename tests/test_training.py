@@ -434,6 +434,12 @@ class TestTrainReplicas:
         with pytest.raises(WorkerError, match=r"^training replica \d+ was killed by signal SIGKILL$"):
             train(toy_dataset(), make_config(noise_mode="per_forward"), toy_train_config(), log=quiet)
 
+    def test_replica_without_a_result_is_named_with_its_exit_code(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        in_processes(monkeypatch, replicas=lambda query: os._exit(3))
+        with pytest.raises(WorkerError, match=r"^training replica \d+ exited with code 3 and no result$"):
+            train(toy_dataset(), make_config(noise_mode="per_forward"), toy_train_config(), log=quiet)
+
     @pytest.mark.parametrize("poisoned", ["gradient", "replica loss"])
     def test_divergence_reaps_the_replicas(self, monkeypatch, poisoned):
         use_cpus(monkeypatch, 3)
