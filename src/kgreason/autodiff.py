@@ -317,8 +317,9 @@ class GradCheckReport:
 class Tape:
     """Ordered record of primitive ops: each node's op name, output and adjoint closure.
 
-    ``grad=False`` skips closure creation for inference-only passes and
-    records nothing.
+    ``grad=False`` records nothing, for inference-only passes: an op's
+    output is then the only array it leaves alive, and it is freed as soon
+    as the caller drops it.
     """
 
     def __init__(self, grad: bool = True):
@@ -386,7 +387,7 @@ class Tape:
             raise ShapeError("mlp", f"{len(weights)} weights", f"{len(biases)} biases")
         wds = [w.data for w in weights]
         bds = [b.data for b in biases]
-        inputs = [x.data]          # each layer's input: x, then the ReLU outputs
+        inputs = [x.data]          # each layer's input: x, then (for a backward pass) the ReLU outputs
         h = x.data
         for i, (wd, bd) in enumerate(zip(wds, bds)):
             if h.shape[1] != wd.shape[0] or bd.shape != (1, wd.shape[1]):
@@ -395,7 +396,8 @@ class Tape:
             h += bd
             if i < len(wds) - 1:
                 h = np.maximum(h, 0.0, out=h)
-                inputs.append(h)
+                if self.grad_enabled:
+                    inputs.append(h)
 
         def bwd(g):
             for i in reversed(range(len(wds))):
@@ -547,10 +549,12 @@ class Tape:
         d = a.shape[1]
         if gain.shape != (1, d) or bias.shape != (1, d):
             raise ShapeError("layer_norm", a.shape, gain.shape, bias.shape)
-        centred = a.data - a.data.mean(axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt((centred * centred).mean(axis=1, keepdims=True) + eps)  # np.var's bits
-        xhat = centred * inv
+        xhat = a.data - a.data.mean(axis=1, keepdims=True)   # centred, then scaled in place
+        inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=1, keepdims=True) + eps)  # np.var's bits
+        xhat *= inv
         gd = gain.data
+        out = xhat * gd
+        out += bias.data
 
         def bwd(g):
             gain._add_grad((g * xhat).sum(axis=0, keepdims=True), fresh=True)
@@ -560,7 +564,7 @@ class Tape:
             m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
             a._add_grad(inv * (dxhat - m1 - xhat * m2), fresh=True)
 
-        return self._emit("layer_norm", xhat * gd + bias.data, bwd)
+        return self._emit("layer_norm", out, bwd)
 
     def row_l2_normalize(self, a: Tensor, eps: float = 1e-12) -> Tensor:
         """Scale each row to unit L2 norm; eps guards all-zero rows."""

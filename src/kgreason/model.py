@@ -305,15 +305,17 @@ def linear_attention(tape: Tape, ztilde: Tensor, zhat: Tensor, head: AttentionHe
     ``kernel(q_u, k_v) + |V| * [u == v]`` row-normalized: the value term
     outside the division carries the |V|-weighted self contribution.
     ``keys`` is ``attention_keys(tape, ztilde, head)`` when the caller
-    already holds it; otherwise it is computed here.
+    already holds it; otherwise it is computed here, and ``ztilde`` is read
+    for nothing else.
     """
-    n = ztilde.shape[0]
+    n = zhat.shape[0]
     if n == 0:
         return zhat
     q, k, denom = attention_keys(tape, ztilde, head) if keys is None else keys
     v = zhat
     ktv = tape.matmul(tape.transpose(k), v)                     # K^T V, (d, d)
     qktv = tape.matmul(q, ktv)                                  # (n, d)
+    del q, k, keys
     colsum_v = tape.scale(tape.mean_rows(v), n)                 # 1^T V, (1, d)
     mixed = tape.add(v, tape.scale(tape.add(qktv, colsum_v), 1.0 / n))
     return tape.mul(mixed, tape.reciprocal(denom))
@@ -441,6 +443,8 @@ def transformer_layer(tape: Tape, graph: KnowledgeGraph, x: Tensor, query: Query
     """One attention block: Attn -> residual -> LN -> FFN -> residual -> LN.
 
     ``query_side``, given only for layer 0, stands in for its query network.
+    Each (|V|, d) tensor is dropped once its last reader has run, so on a
+    tape that does not record it is freed there; a recording tape keeps it.
     """
     head = layer.head
     if query_side is None:
@@ -449,17 +453,18 @@ def transformer_layer(tape: Tape, graph: KnowledgeGraph, x: Tensor, query: Query
     else:
         ztilde, keys = query_side.ztilde, query_side.keys
     zhat = rmpnn_forward(tape, graph, x, query.relation, relations, head.value_net, indicator, exclude)
+    if state is not None:
+        state.query_reprs.append(ztilde.data.copy())
+        state.value_reprs.append(zhat.data.copy())
     if config.kernel_mode == "approximate":
         zbar = linear_attention(tape, ztilde, zhat, head, keys)
     else:
         zbar = dense_attention(tape, ztilde, zhat, head)
+    del ztilde, keys, zhat
     a = tape.layer_norm(tape.add(x, zbar), layer.ln1_gain, layer.ln1_bias, LAYER_NORM_EPS)
-    out = tape.layer_norm(tape.add(a, layer.ffn.apply(tape, a)),
-                          layer.ln2_gain, layer.ln2_bias, LAYER_NORM_EPS)
-    if state is not None:
-        state.query_reprs.append(ztilde.data.copy())
-        state.value_reprs.append(zhat.data.copy())
-    return out
+    del zbar
+    return tape.layer_norm(tape.add(a, layer.ffn.apply(tape, a)),
+                           layer.ln2_gain, layer.ln2_bias, LAYER_NORM_EPS)
 
 
 def forward(tape: Tape, graph: KnowledgeGraph, query: Query, params: ModelParams,

@@ -7,8 +7,8 @@ pinned in tests and two runs with the same seed are bit-identical.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -204,6 +204,30 @@ class Checkpoint:
     training_state: dict
 
 
+# List entries per piece of a written header, about 2 KB of JSON for the tensor table.
+_HEADER_CHUNK = 16
+
+
+def _header_pieces(header: dict):
+    """``json.dumps(header, sort_keys=True, separators=(",", ":"))`` in pieces, by C encoder calls.
+
+    One call per key, and one per ``_HEADER_CHUNK`` entries of a list value,
+    so no piece holds a whole token list or tensor table.
+    """
+    dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    for i, key in enumerate(sorted(header)):
+        value = header[key]
+        yield ("," if i else "{") + dumps(key) + ":"
+        if isinstance(value, list):
+            yield "["
+            for j in range(0, len(value), _HEADER_CHUNK):
+                yield ("," if j else "") + dumps(value[j:j + _HEADER_CHUNK])[1:-1]
+            yield "]"
+        else:
+            yield dumps(value)
+    yield "}"
+
+
 def save_checkpoint(path: str, ck: Checkpoint) -> None:
     """Write ``ck`` as the documented binary container: magic, JSON header, raw payload.
 
@@ -211,9 +235,9 @@ def save_checkpoint(path: str, ck: Checkpoint) -> None:
     load_checkpoint(p1))`` writes the bytes of ``p1`` again. The header's
     ``tensors`` list is ``_tensor_table(ck.params)``, and the payload is its
     arrays in that order, little-endian, each written straight from its
-    array. The header is canonical JSON (sorted keys), streamed from the
-    encoder into the file a few KB at a time, so no string of the whole
-    header is held; its length is written last. The file is written beside
+    array. The header is canonical JSON (sorted keys), written in pieces
+    (``_header_pieces``), so no string of the whole header is held; its
+    length is written last. The file is written beside
     ``path`` and renamed over it, so a save that fails partway leaves the
     previous file intact.
     """
@@ -239,9 +263,8 @@ def save_checkpoint(path: str, ck: Checkpoint) -> None:
         with open(tmp, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(bytes(8))                  # the header's length, patched in below
-            chunks = json.JSONEncoder(sort_keys=True, separators=(",", ":")).iterencode(header)
-            while batch := list(itertools.islice(chunks, 256)):   # a few KB per write
-                fh.write("".join(batch).encode())   # ASCII: the encoder escapes everything else
+            for piece in _header_pieces(header):
+                fh.write(piece.encode())   # ASCII: the encoder escapes everything else
             head_len = fh.tell() - len(_MAGIC) - 8
             for arr in arrays:
                 fh.write(np.ascontiguousarray(arr, dtype=wire))
@@ -335,13 +358,16 @@ def load_checkpoint(path: str, *, moments: bool = True) -> Checkpoint:
                     raise CheckpointError(f"{path}: tensor {i} ({want['name']!r}) has {key} {shown[0]}; "
                                           f"the model layout needs {shown[1]}")
             size = table[-1]["offset"] + table[-1]["nbytes"]
-            if os.fstat(fh.fileno()).st_size - fh.tell() != size:
-                raise CheckpointError(f"{path}: truncated checkpoint: payload size differs from the header's")
+            payload = os.fstat(fh.fileno()).st_size - fh.tell()
+            if payload != size:
+                fault = "truncated checkpoint" if payload < size else "checkpoint has bytes past its payload"
+                raise CheckpointError(f"{path}: {fault}: {payload} bytes follow the header, "
+                                      f"where its tensors need {size}")
             plist = params.parameters()
             entries = table if moments else table[:len(plist)]
             buf = bytearray(entries[-1]["offset"] + entries[-1]["nbytes"])
             if fh.readinto(buf) != len(buf):
-                raise CheckpointError(f"{path}: truncated checkpoint: payload size differs from the header's")
+                raise CheckpointError(f"{path}: truncated checkpoint: the file shrank while it was read")
     except OSError as exc:
         raise CheckpointError(f"{path}: cannot read checkpoint: {exc.strerror}") from None
     wire = np.dtype(model_config.dtype).newbyteorder("<")

@@ -455,15 +455,34 @@ class TestFusedNodesBitEqual:
         assert_bit_equal(run_both(build(mlp_chain), build(Tape.mlp), shapes, dtype, 4))
 
     @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_mlp_without_recording(self, dtype, layers):
+        # A tape that does not record keeps no layer inputs; its value keeps the bits of
+        # the recording node and of the chain, and its input is left as it was.
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((97, 32)).astype(dtype)
+        weights = [Parameter(f"w{i}", rng.standard_normal((32, 32)).astype(dtype)) for i in range(layers)]
+        biases = [Parameter(f"b{i}", rng.standard_normal((1, 32)).astype(dtype)) for i in range(layers)]
+        given = x.copy()
+        loose = Tape(grad=False)
+        values = [stack(t, t.tensor(x), weights, biases).data
+                  for t, stack in ((loose, Tape.mlp), (Tape(), Tape.mlp), (Tape(), mlp_chain))]
+        assert len(loose) == 0 and values[0].dtype == dtype
+        assert bits(values[0]) == bits(values[1]) == bits(values[2])
+        assert bits(x) == bits(given)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("d", [5, 32, 96])
     def test_layer_norm_variance_is_np_var(self, dtype, d):
         rng = np.random.default_rng(d)
         a = (rng.standard_normal((97, d)) * rng.uniform(0.01, 100.0, (97, 1))).astype(dtype)
         gain, bias = rng.standard_normal((2, 1, d)).astype(dtype)
-        t = Tape()
-        out = t.layer_norm(t.tensor(a), t.tensor(gain), t.tensor(bias), eps=1e-5)
+        given = a.copy()
         inv = 1.0 / np.sqrt(a.var(axis=1, keepdims=True) + 1e-5)
-        assert bits(out.data) == bits((a - a.mean(axis=1, keepdims=True)) * inv * gain + bias)
+        for t in (Tape(), Tape(grad=False)):   # both normalize in place, into a new array
+            out = t.layer_norm(t.tensor(a), t.tensor(gain), t.tensor(bias), eps=1e-5)
+            assert bits(out.data) == bits((a - a.mean(axis=1, keepdims=True)) * inv * gain + bias)
+            assert bits(a) == bits(given)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("case", ["row-times-wide", "column-out"])

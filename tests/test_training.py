@@ -672,7 +672,7 @@ class TestCheckpointContainer:
         cases = {
             "header runs past": blob[:16 + head_len // 2],
             "unreadable checkpoint header": blob[:16] + b"{" * head_len + blob[16 + head_len:],
-            "payload size differs": blob[:-4],
+            "truncated checkpoint: \\d+ bytes follow the header, where its tensors need \\d+": blob[:-4],
         }
         for message, corrupt in cases.items():
             path.write_bytes(corrupt)
@@ -835,12 +835,17 @@ class TestCheckpointIO:
         self.save(path, mcfg, params, adam)
         blob = path.read_bytes()
         moments_bytes = 2 * sum(p.data.nbytes for p in params.parameters())
-        for damaged in (blob[:len(blob) - moments_bytes // 2], blob[:-4], blob + b"\0" * 4):
+        size = 3 * sum(p.data.nbytes for p in params.parameters())
+        cut = moments_bytes // 2
+        for damaged, fault, payload in ((blob[:-cut], "truncated checkpoint", size - cut),
+                                        (blob[:-4], "truncated checkpoint", size - 4),
+                                        (blob + b"\0" * 4, "checkpoint has bytes past its payload", size + 4)):
             path.write_bytes(damaged)
             for moments in (True, False):
                 with pytest.raises(CheckpointError) as err:
                     load_checkpoint(str(path), moments=moments)
-                assert str(err.value).startswith(f"{path}: truncated checkpoint")
+                assert str(err.value) == (f"{path}: {fault}: {payload} bytes follow the header, "
+                                          f"where its tensors need {size}")
 
     def test_layout_faults_refused(self, tmp_path, precision):
         mcfg, params, adam = trained_state(precision)
