@@ -306,10 +306,6 @@ class GradCheckReport:
         return all(e <= self.tolerance for e in self.errors.values())
 
     @property
-    def failures(self) -> dict:
-        return {n: e for n, e in self.errors.items() if e > self.tolerance}
-
-    @property
     def max_error(self) -> float:
         return max(self.errors.values()) if self.errors else 0.0
 

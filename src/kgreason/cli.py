@@ -89,7 +89,7 @@ def load_run_config(path: str, overrides=()) -> dict:
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except FileNotFoundError:
         raise UserError(f"config file not found: {path}") from None
@@ -361,7 +361,7 @@ def cmd_diagnose(args) -> int:
         answer = int(np.argmax(scores.data[:, 0]))
         ztilde = state.query_reprs[-1]
         zhat = state.value_reprs[-1]
-        _, attn = dense_attention_oracle(ztilde, zhat, ck.params.layers[-1].head, config.kernel_mode)
+        _, attn = dense_attention_oracle(ztilde, zhat, ck.params.layers[-1], config.kernel_mode)
         row = attn[answer].copy()
         row[answer] = -1.0  # exclude the answer itself from its own top list
         top = np.argsort(-row, kind="stable")[:args.top]

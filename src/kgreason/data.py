@@ -162,7 +162,8 @@ def load_triplets(
 
     Vocabularies are built in first-seen order (per line: head, relation,
     tail) when not supplied; supplied ones are used verbatim and unseen
-    tokens of a frozen one raise ``VocabularyError``. Blank lines and lines
+    tokens of a frozen one raise ``VocabularyError``. A leading UTF-8
+    byte-order mark is not part of the first token. Blank lines and lines
     whose first non-blank character is ``#`` are skipped; line numbers in
     errors count every line. A file that cannot be opened or read raises
     ``DatasetError`` naming it.
@@ -170,9 +171,9 @@ def load_triplets(
     entity_vocab = Vocabulary() if entity_vocab is None else entity_vocab
     relation_vocab = Vocabulary() if relation_vocab is None else relation_vocab
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
-    except UnicodeDecodeError as exc:  # decoded in one piece: exc.object is the whole file
+    except UnicodeDecodeError as exc:  # decoded in one piece: exc.object is the file past any BOM
         read = exc.object[:exc.start]  # line ends as text mode reads them: \n, \r\n or \r
         lineno = read.count(b"\n") + read.count(b"\r") - read.count(b"\r\n") + 1
         raise ParseError(f"{path}:{lineno}: not valid UTF-8") from None
@@ -469,10 +470,6 @@ class DatasetSplit:
     @property
     def num_relations(self) -> int:
         return len(self.relation_vocab)
-
-    @property
-    def num_inference_entities(self) -> int:
-        return 0 if self.inference_entity_vocab is None else len(self.inference_entity_vocab)
 
 
 def load_dataset(path: str, mode: str = "auto", entity_vocab: Optional[Vocabulary] = None,

@@ -312,10 +312,7 @@ def map_in_workers(work: Callable[[object], object], tasks: Sequence, weights: S
         for k, share in enumerate(shares):
             if failures and share[0] > min(failures, key=lambda f: f[0])[0]:
                 break                                   # nothing the rest run precedes that failure
-            outcome = attempt(share, Exception) if k == 0 else children.outcome(k - 1)
-            if isinstance(outcome, WorkerError):
-                raise outcome
-            failed_at, outcome = outcome
+            failed_at, outcome = attempt(share, Exception) if k == 0 else children.outcome(k - 1)
             if failed_at is None:
                 for t, result in zip(share, outcome):
                     results[t] = result
@@ -393,8 +390,8 @@ class Children:
     def outcome(self, k: int):
         """Read child ``k``'s pipe to EOF, reap the child and return what it sent, unpickled.
 
-        A child that sent nothing readable gives a ``WorkerError`` naming
-        it and its exit code; one ended by a signal raises ``WorkerError``.
+        A child that sent nothing readable, or was ended by a signal, raises
+        a ``WorkerError`` naming it and its exit code or signal.
         """
         with open(self.ends[k][2], "rb", closefd=False) as pipe:   # an interrupted read leaves it to kill()
             payload = pipe.read()
@@ -402,14 +399,7 @@ class Children:
         try:
             return pickle.loads(payload)
         except Exception:
-            return WorkerError(f"{self.role} {pid} exited with code {code} and no result")
-
-    def close(self) -> None:
-        """Reap every child left as it ends by itself; a non-zero exit code raises ``WorkerError``."""
-        for k in list(self.ends):
-            pid, code = self._reap(k)
-            if code:
-                raise WorkerError(f"{self.role} {pid} exited with code {code}")
+            raise WorkerError(f"{self.role} {pid} exited with code {code} and no result") from None
 
     def kill(self) -> None:
         """Kill and reap every child left."""

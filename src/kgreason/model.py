@@ -118,23 +118,13 @@ class RmpnnParams:
 
 
 @dataclass
-class AttentionHeadParams:
-    query_net: RmpnnParams
-    value_net: RmpnnParams
-    w1: Parameter
-    b1: Parameter
-    w2: Parameter
-    b2: Parameter
-
-    def parameters(self):
-        yield from self.query_net.parameters()
-        yield from self.value_net.parameters()
-        yield from (self.w1, self.b1, self.w2, self.b2)
-
-
-@dataclass
 class LayerParams:
-    head: AttentionHeadParams  # the layer's one attention head, named ``layer{i}.head0``
+    query_net: RmpnnParams     # the attention's query/key inputs
+    value_net: RmpnnParams
+    w1: Parameter              # query projection
+    b1: Parameter
+    w2: Parameter              # key projection
+    b2: Parameter
     ln1_gain: Parameter
     ln1_bias: Parameter
     ln2_gain: Parameter
@@ -142,7 +132,9 @@ class LayerParams:
     ffn: Mlp
 
     def parameters(self):
-        yield from self.head.parameters()
+        yield from self.query_net.parameters()
+        yield from self.value_net.parameters()
+        yield from (self.w1, self.b1, self.w2, self.b2)
         yield from (self.ln1_gain, self.ln1_bias, self.ln2_gain, self.ln2_bias)
         yield from self.ffn.parameters()
 
@@ -208,18 +200,15 @@ class ModelParams:
         self.layers = []
         for li in range(config.attention_layers):
             pre = f"layer{li}"
-            hp = f"{pre}.head0"
-            head = AttentionHeadParams(
+            hp = f"{pre}.head0"   # the name of the retired single head: checkpoints' tensor-table keys
+            ffn_dims = [d] + [FFN_MULTIPLIER * d] * (FFN_DEPTH - 1) + [d]
+            self.layers.append(LayerParams(
                 query_net=rmpnn(f"{hp}.query", config.query_layers),
                 value_net=rmpnn(f"{hp}.value", config.value_layers),
                 w1=weight(f"{hp}.w1", d, d),
                 b1=zeros(f"{hp}.b1", 1, d),
                 w2=weight(f"{hp}.w2", d, d),
                 b2=zeros(f"{hp}.b2", 1, d),
-            )
-            ffn_dims = [d] + [FFN_MULTIPLIER * d] * (FFN_DEPTH - 1) + [d]
-            self.layers.append(LayerParams(
-                head=head,
                 ln1_gain=ones(f"{pre}.ln1.gain", 1, d),
                 ln1_bias=zeros(f"{pre}.ln1.bias", 1, d),
                 ln2_gain=ones(f"{pre}.ln2.gain", 1, d),
@@ -277,41 +266,41 @@ def rmpnn_forward(tape: Tape, graph: KnowledgeGraph, x: Tensor, rq: int,
 # --- attention -------------------------------------------------------------
 
 
-def _projected_qk(tape: Tape, ztilde: Tensor, head: AttentionHeadParams):
-    q = tape.row_l2_normalize(tape.mlp(ztilde, [head.w1], [head.b1]), NORM_EPS)
-    k = tape.row_l2_normalize(tape.mlp(ztilde, [head.w2], [head.b2]), NORM_EPS)
+def _projected_qk(tape: Tape, ztilde: Tensor, layer: LayerParams):
+    q = tape.row_l2_normalize(tape.mlp(ztilde, [layer.w1], [layer.b1]), NORM_EPS)
+    k = tape.row_l2_normalize(tape.mlp(ztilde, [layer.w2], [layer.b2]), NORM_EPS)
     return q, k
 
 
-def attention_keys(tape: Tape, ztilde: Tensor, head: AttentionHeadParams):
+def attention_keys(tape: Tape, ztilde: Tensor, layer: LayerParams):
     """The key side of ``linear_attention``: ``(q, k, denom)``, which depend on ``ztilde`` only.
 
     ``denom = Q (K^T 1) / |V| + 2`` is each row's normalizer.
     """
     n = ztilde.shape[0]
     dt = ztilde.data.dtype
-    q, k = _projected_qk(tape, ztilde, head)
+    q, k = _projected_qk(tape, ztilde, layer)
     colsum_k = tape.scale(tape.mean_rows(k), n)                 # 1^T K, (1, d)
     qk1 = tape.matmul(q, tape.transpose(colsum_k))              # Q (K^T 1), (n, 1)
     denom = tape.add(tape.scale(qk1, 1.0 / n), tape.tensor(np.full((1, 1), 2.0, dtype=dt)))
     return q, k, denom
 
 
-def linear_attention(tape: Tape, ztilde: Tensor, zhat: Tensor, head: AttentionHeadParams,
+def linear_attention(tape: Tape, ztilde: Tensor, zhat: Tensor, layer: LayerParams,
                      keys=None) -> Tensor:
     """Kernelized all-pair mixing in factored O(|V| d^2) order.
 
     Equivalent to dense attention with effective score
     ``kernel(q_u, k_v) + |V| * [u == v]`` row-normalized: the value term
     outside the division carries the |V|-weighted self contribution.
-    ``keys`` is ``attention_keys(tape, ztilde, head)`` when the caller
+    ``keys`` is ``attention_keys(tape, ztilde, layer)`` when the caller
     already holds it; otherwise it is computed here, and ``ztilde`` is read
     for nothing else.
     """
     n = zhat.shape[0]
     if n == 0:
         return zhat
-    q, k, denom = attention_keys(tape, ztilde, head) if keys is None else keys
+    q, k, denom = attention_keys(tape, ztilde, layer) if keys is None else keys
     v = zhat
     ktv = tape.matmul(tape.transpose(k), v)                     # K^T V, (d, d)
     qktv = tape.matmul(q, ktv)                                  # (n, d)
@@ -321,13 +310,13 @@ def linear_attention(tape: Tape, ztilde: Tensor, zhat: Tensor, head: AttentionHe
     return tape.mul(mixed, tape.reciprocal(denom))
 
 
-def dense_attention(tape: Tape, ztilde: Tensor, zhat: Tensor, head: AttentionHeadParams) -> Tensor:
+def dense_attention(tape: Tape, ztilde: Tensor, zhat: Tensor, layer: LayerParams) -> Tensor:
     """Explicit |V| x |V| exponential-kernel attention (differentiable); the full-exponential route."""
     n = ztilde.shape[0]
     if n > DENSE_GUARD:
         raise DenseScopeError(f"dense attention takes at most {DENSE_GUARD} entities; the graph has {n}")
     dt = ztilde.data.dtype
-    q, k = _projected_qk(tape, ztilde, head)
+    q, k = _projected_qk(tape, ztilde, layer)
     scores = tape.exp(tape.matmul(q, tape.transpose(k)))
     scores = tape.add(scores, tape.tensor(n * np.eye(n, dtype=dt)))
     rowsum = tape.matmul(scores, tape.tensor(np.ones((n, 1), dtype=dt)))
@@ -339,7 +328,7 @@ def _rownorm_np(a: np.ndarray) -> np.ndarray:
     return a / np.sqrt((a * a).sum(axis=1, keepdims=True) + NORM_EPS)
 
 
-def dense_attention_oracle(ztilde: np.ndarray, zhat: np.ndarray, head: AttentionHeadParams,
+def dense_attention_oracle(ztilde: np.ndarray, zhat: np.ndarray, layer: LayerParams,
                            kernel_mode: str = "approximate"):
     """Independent dense reference: returns (mixed values, attention matrix).
 
@@ -350,8 +339,8 @@ def dense_attention_oracle(ztilde: np.ndarray, zhat: np.ndarray, head: Attention
     if n > DENSE_GUARD:
         raise DenseScopeError(f"the dense attention oracle takes at most {DENSE_GUARD} entities; "
                               f"the graph has {n}")
-    q = _rownorm_np(ztilde @ head.w1.data + head.b1.data)
-    k = _rownorm_np(ztilde @ head.w2.data + head.b2.data)
+    q = _rownorm_np(ztilde @ layer.w1.data + layer.b1.data)
+    k = _rownorm_np(ztilde @ layer.w2.data + layer.b2.data)
     s = q @ k.T
     scores = np.exp(s) if kernel_mode == "full_exponential" else 1.0 + s
     scores = scores + n * np.eye(n, dtype=scores.dtype)
@@ -428,10 +417,10 @@ def layer0_query_side(graph: KnowledgeGraph, query: Query, params: ModelParams,
     """Layer 0's query side for ``query``'s relation, exactly as ``forward`` computes it."""
     _check_query(graph, query)
     tape = Tape(grad=False)
-    head = params.layers[0].head
+    layer = params.layers[0]
     x = tape.tensor(np.zeros((graph.num_entities, config.hidden_dim), dtype=config.dtype))
-    ztilde = rmpnn_forward(tape, graph, x, query.relation, params.relations, head.query_net, noise)
-    keys = attention_keys(tape, ztilde, head) if config.kernel_mode == "approximate" else None
+    ztilde = rmpnn_forward(tape, graph, x, query.relation, params.relations, layer.query_net, noise)
+    keys = attention_keys(tape, ztilde, layer) if config.kernel_mode == "approximate" else None
     return QuerySide(ztilde, keys)
 
 
@@ -446,20 +435,19 @@ def transformer_layer(tape: Tape, graph: KnowledgeGraph, x: Tensor, query: Query
     Each (|V|, d) tensor is dropped once its last reader has run, so on a
     tape that does not record it is freed there; a recording tape keeps it.
     """
-    head = layer.head
     if query_side is None:
-        ztilde = rmpnn_forward(tape, graph, x, query.relation, relations, head.query_net, noise, exclude)
+        ztilde = rmpnn_forward(tape, graph, x, query.relation, relations, layer.query_net, noise, exclude)
         keys = None
     else:
         ztilde, keys = query_side.ztilde, query_side.keys
-    zhat = rmpnn_forward(tape, graph, x, query.relation, relations, head.value_net, indicator, exclude)
+    zhat = rmpnn_forward(tape, graph, x, query.relation, relations, layer.value_net, indicator, exclude)
     if state is not None:
         state.query_reprs.append(ztilde.data.copy())
         state.value_reprs.append(zhat.data.copy())
     if config.kernel_mode == "approximate":
-        zbar = linear_attention(tape, ztilde, zhat, head, keys)
+        zbar = linear_attention(tape, ztilde, zhat, layer, keys)
     else:
-        zbar = dense_attention(tape, ztilde, zhat, head)
+        zbar = dense_attention(tape, ztilde, zhat, layer)
     del ztilde, keys, zhat
     a = tape.layer_norm(tape.add(x, zbar), layer.ln1_gain, layer.ln1_bias, LAYER_NORM_EPS)
     del zbar

@@ -292,15 +292,13 @@ def _header_settings(path: str, header: dict, key: str, cls):
 
 def _read_header(path: str, fh) -> dict:
     """The JSON header of an open checkpoint, its keys and digest checked, leaving ``fh`` at the payload."""
-    magic = fh.read(len(_MAGIC))
-    head_len = int.from_bytes(fh.read(8), "little")
-    head = fh.read(head_len)
-    if magic != _MAGIC:
+    if fh.read(len(_MAGIC)) != _MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
-    if len(head) != head_len:
+    head_len = int.from_bytes(fh.read(8), "little")
+    if head_len > os.fstat(fh.fileno()).st_size - fh.tell():   # a length field is not read on trust
         raise CheckpointError(f"{path}: truncated checkpoint: header runs past the end of the file")
     try:
-        header = json.loads(head)
+        header = json.loads(fh.read(head_len))
     except ValueError as exc:  # bad encoding or bad JSON
         raise CheckpointError(f"{path}: unreadable checkpoint header: {exc}") from None
     if not isinstance(header, dict):
@@ -458,7 +456,9 @@ class _Replicas(Children):
     losses; one that is ended by a signal raises ``WorkerError`` naming it.
 
     Replica i is ``Children``'s child i - 1. It ends when the epoch ends,
-    or when its pipe from this process closes.
+    or when its pipe from this process closes; once this process has read
+    the epoch's last fold, no replica has anything left to send, and
+    ``train`` kills them all.
     """
 
     def shares(self, size: int) -> list[range]:
@@ -510,7 +510,11 @@ class _MetricsLog:
     """Append-only JSON-lines writer that also keeps records in memory.
 
     A run resumed from ``resume_epoch`` keeps the file's records up to that
-    epoch and drops later ones; a fresh run starts an empty file.
+    epoch and drops later ones; a fresh run starts an empty file. Records
+    are appended in epoch order and a checkpoint is saved after its epoch's
+    records, so a last line that a crash cut short belongs to a later epoch
+    and is dropped too. Any other line that is not a JSON object with an
+    integer ``epoch`` raises ``UserError`` naming it.
     """
 
     def __init__(self, path: Optional[str], resume_epoch: Optional[int] = None):
@@ -519,8 +523,19 @@ class _MetricsLog:
         if not path:
             return
         if resume_epoch is not None and os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                self.records = [rec for rec in map(json.loads, fh) if rec["epoch"] <= resume_epoch]
+            with open(path, "rb") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    if not line.endswith(b"\n"):
+                        break
+                    try:
+                        rec = json.loads(line)
+                    except ValueError:   # bad encoding or bad JSON
+                        rec = None
+                    if not isinstance(rec, dict) or type(rec.get("epoch")) is not int:
+                        raise UserError(f"{path}:{lineno}: not a metrics record (a JSON object with an "
+                                        "integer epoch)")
+                    if rec["epoch"] <= resume_epoch:
+                        self.records.append(rec)
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in self.records)
 
@@ -765,10 +780,8 @@ def train(dataset: DatasetSplit, model_config: ModelConfig, train_config: TrainC
                 adam_step(plist, adam, train_config)
                 opt_s += time.perf_counter() - t_opt
                 epoch_loss += batch_loss
-            replicas.close()
-        except BaseException:
+        finally:
             replicas.kill()
-            raise
         mean_loss = epoch_loss / len(order)
         wall = time.perf_counter() - t0
         record(epoch, "train", loss=mean_loss, grad_norm=grad_norm, wall_ms=round(wall * 1000.0, 3),

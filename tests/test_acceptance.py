@@ -47,7 +47,7 @@ class TestCriterion1AttentionOracle:
             d = int(rng.choice([8, 16, 32]))
             n = int(rng.integers(1, 51))
             _, params = make_model(num_relations=2, seed=10_000 + i, hidden_dim=d)
-            head = params.layers[0].head
+            head = params.layers[0]
             ztilde = rng.standard_normal((n, d))
             zhat = rng.standard_normal((n, d))
             tape = Tape(grad=False)
@@ -80,7 +80,7 @@ class TestCriterion2GradientAudit:
         ok = audit.passed and elapsed < 60.0
         report(2, "end-to-end gradient audit", ok,
                f"max rel err {audit.max_error:.3e} over {len(audit.errors)} groups in {elapsed:.1f}s")
-        assert audit.passed, audit.failures
+        assert audit.passed, audit.errors
         assert elapsed < 60.0
 
 
@@ -151,7 +151,7 @@ class TestCriterion5ComplexityScaling:
         sizes = [512, 1024, 2048, 4096]
         rng = np.random.default_rng(5)
         _, params = make_model(num_relations=2, seed=6, hidden_dim=16)
-        head = params.layers[0].head
+        head = params.layers[0]
         cases = []
         for n in sizes:
             zt = rng.standard_normal((n, 16))
@@ -249,7 +249,7 @@ class TestCriterion7InductiveBenchmark:
         train_config = TrainConfig(learning_rate=1e-3, num_negatives=64, epochs=20,
                                    batch_size=16, seed=7, eval_interval=1)
         result = train(dataset, model_config, train_config, log=print)
-        graph = build_graph(dataset.inference, dataset.num_inference_entities,
+        graph = build_graph(dataset.inference, len(dataset.inference_entity_vocab),
                             dataset.num_relations, add_inverse=True)
         filters = query_filters([dataset.inference, dataset.test], dataset.num_relations)
         queries = make_queries(dataset.test, dataset.num_relations, filters)

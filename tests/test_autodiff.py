@@ -283,7 +283,7 @@ class TestGradCheck:
         rng_fixed = rng.standard_normal((4, 3))
         report = grad_check(loss_fn, [w, b], step=1e-5, tolerance=1e-6)
         assert set(report.errors) == {"w", "b"}
-        assert report.passed, report.failures
+        assert report.passed, report.errors
 
     def test_detects_nondeterminism(self):
         w = Parameter("w", [[1.0]])

@@ -91,6 +91,11 @@ class TestConfigParsing:
         assert settings["run"].verbosity == "quiet"
         assert settings["dataset"].path == str(toy_data) and settings["dataset"].mode == "auto"
 
+    def test_byte_order_mark_ignored(self, toy_config, tmp_path):
+        marked = tmp_path / "marked.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + toy_config.read_bytes())
+        assert load_run_config(str(marked)) == load_run_config(str(toy_config))
+
     def test_resolved_config_loads_back_equal(self, toy_config, tmp_path):
         overrides = ["training.epochs=0", "training.max_valid_queries=3"]
         assert main(["train", "--config", str(toy_config), "--seed", "5",

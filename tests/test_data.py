@@ -120,6 +120,19 @@ class TestLoadTriplets:
             load_triplets(str(f))
         assert str(exc.value) == f"{f}:3: not valid UTF-8"
 
+    @pytest.mark.parametrize("text", ["a\tr\tb\nb\tr\ta\n", "# note\na\tr\tb\nb\tr\ta\n"],
+                             ids=["fact-first", "comment-first"])
+    def test_byte_order_mark_is_not_a_token(self, tmp_path, text):
+        f = tmp_path / "t.txt"
+        f.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        trips, ev, rv = load_triplets(str(f))
+        assert trips.tolist() == [[0, 0, 1], [1, 0, 0]]
+        assert ev.tokens == ("a", "b") and rv.tokens == ("r",)
+        f.write_bytes(b"\xef\xbb\xbf" + text.encode() + b"c\tr\t\xffd\n")
+        with pytest.raises(ParseError) as exc:
+            load_triplets(str(f))
+        assert str(exc.value) == f"{f}:{text.count(chr(10)) + 1}: not valid UTF-8"
+
     def test_fixed_vocab_rejects_unknown(self, tmp_path):
         f = tmp_path / "t.txt"
         write_lines(f, ["a\tr\tz"])
@@ -460,7 +473,7 @@ class TestInductiveLayout:
         write_lines(d / "test.txt", ["y\tr\tx"])
         ds = load_dataset(str(d))
         assert ds.mode == "inductive"
-        assert ds.num_entities == 3 and ds.num_inference_entities == 2
+        assert ds.num_entities == 3 and len(ds.inference_entity_vocab) == 2
         assert ds.inference.tolist() == [[0, 0, 1]] and ds.test.tolist() == [[1, 0, 0]]
 
     def test_splits_match_tuple_parser(self, tmp_path):

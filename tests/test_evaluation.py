@@ -232,8 +232,8 @@ class TestEvaluate:
         g = random_graph(rng, 9, 2, 16)
         pairs = [(0, 1), (3, 1), (0, 2), (5, 1), (3, 1), (7, 2), (0, 1), (2, 0)]
         queries = [Query(h, r, (h + 1) % 9, frozenset({(h + 1) % 9})) for h, r in pairs]
-        nets = {id(layer.head.query_net): f"layer{i}.query" for i, layer in enumerate(params.layers)}
-        nets.update({id(layer.head.value_net): f"layer{i}.value" for i, layer in enumerate(params.layers)})
+        nets = {id(layer.query_net): f"layer{i}.query" for i, layer in enumerate(params.layers)}
+        nets.update({id(layer.value_net): f"layer{i}.value" for i, layer in enumerate(params.layers)})
 
         def counting(tape, graph, x, rq, relations, net, *args, **kwargs):
             process_log.append((nets[id(net)], rq))

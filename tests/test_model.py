@@ -71,7 +71,7 @@ def rmpnn_edge_loop_oracle(edges, num_entities, x, extra, relations, rq, net):
 class TestRelationalMessage:
     def test_identity_of_elementwise_product(self):
         cfg, params = make_model(num_relations=2, seed=1)
-        net = params.layers[0].head.query_net
+        net = params.layers[0].query_net
         net.rel_w.data[...] = 0.0
         net.rel_b.data[...] = 1.0  # every r_hat row becomes the all-ones vector
         t = Tape()
@@ -82,7 +82,7 @@ class TestRelationalMessage:
         # all-zero initial states send zero messages along every edge, so each
         # row is the first round's update of zero, as on an edgeless graph
         cfg, params = make_model(num_relations=2, seed=2)
-        net = params.layers[0].head.query_net
+        net = params.layers[0].query_net
         g = chain_graph(4)
         t = Tape()
         zeros = np.zeros((4, cfg.hidden_dim))
@@ -92,7 +92,7 @@ class TestRelationalMessage:
 
     def test_matches_scalar_loop_at_d4(self):
         cfg, params = make_model(num_relations=3, seed=3, hidden_dim=4)
-        net = params.layers[0].head.query_net
+        net = params.layers[0].query_net
         rq = 2
         t = Tape()
         rhat = relation_transform(t, params.relations, rq, net)
@@ -111,7 +111,7 @@ class TestQrmpnn:
     def test_empty_graph_is_pure_self_term(self):
         cfg, params = make_model(num_relations=2, seed=4)
         g = build_graph([], num_entities=3, num_base_relations=1)
-        net = params.layers[0].head.query_net
+        net = params.layers[0].query_net
         rng = np.random.default_rng(9)
         x = rng.standard_normal((3, cfg.hidden_dim))
         eps = rng.standard_normal((3, cfg.hidden_dim))
@@ -126,7 +126,7 @@ class TestQrmpnn:
         # MLP is identity on nonnegative inputs, so row 1 = x1 + x0 after one round
         cfg, params = make_model(num_relations=1, seed=5, hidden_dim=2)
         g = chain_graph(3, add_inverse=False)
-        net = params.layers[0].head.query_net
+        net = params.layers[0].query_net
         d = 2
         net.proj_w.data[...] = np.vstack([np.eye(d), np.zeros((d, d))])
         net.proj_b.data[...] = 0.0
@@ -150,7 +150,7 @@ class TestQrmpnn:
         rng = np.random.default_rng(seed)
         cfg, params = make_model(num_relations=4, seed=100 + seed, query_layers=2)
         g = random_graph(rng, num_entities=8, num_base_relations=2, num_edges=14)
-        net = params.layers[0].head.query_net
+        net = params.layers[0].query_net
         x = rng.standard_normal((8, cfg.hidden_dim))
         eps = rng.standard_normal((8, cfg.hidden_dim))
         t = Tape()
@@ -163,7 +163,7 @@ class TestQrmpnn:
         trips = [Triplet(0, 0, 1), Triplet(0, 0, 2)]
         g = build_graph(trips, 3, 1, add_inverse=True)
         cfg, params = make_model(num_relations=2, seed=6, query_layers=2)
-        net = params.layers[0].head.query_net
+        net = params.layers[0].query_net
         t = Tape()
         x = t.tensor(np.zeros((3, cfg.hidden_dim)))
         out = rmpnn_forward(t, g, x, 0, params.relations, net, np.zeros((3, cfg.hidden_dim)))
@@ -174,7 +174,7 @@ class TestVrmpnn:
     def test_head_labeling_marks_one_row(self):
         cfg, params = make_model(num_relations=2, seed=7)
         g = build_graph([], num_entities=4, num_base_relations=1)
-        net = params.layers[0].head.value_net
+        net = params.layers[0].value_net
         t = Tape()
         x = t.tensor(np.zeros((4, cfg.hidden_dim)))
         out = rmpnn_forward(t, g, x, 0, params.relations, net, head_indicator(cfg, 4, 2))
@@ -192,7 +192,7 @@ class TestVrmpnn:
         # 4 and 5 on a 6-chain look identical from head 0 when X = 0
         g = chain_graph(6)
         cfg, params = make_model(num_relations=2, seed=8, value_layers=2)
-        net = params.layers[0].head.value_net
+        net = params.layers[0].value_net
         t = Tape()
         x = t.tensor(np.zeros((6, cfg.hidden_dim)))
         out = rmpnn_forward(t, g, x, 0, params.relations, net, head_indicator(cfg, 6, 0))
@@ -204,7 +204,7 @@ class TestVrmpnn:
         rng = np.random.default_rng(50 + seed)
         cfg, params = make_model(num_relations=4, seed=200 + seed, value_layers=2)
         g = random_graph(rng, num_entities=7, num_base_relations=2, num_edges=10)
-        net = params.layers[0].head.value_net
+        net = params.layers[0].value_net
         x = rng.standard_normal((7, cfg.hidden_dim))
         head = 3
         indicator = np.zeros((7, cfg.hidden_dim))
@@ -220,7 +220,7 @@ class TestVrmpnn:
 
 def random_head(d, num_relations, seed):
     cfg, params = make_model(num_relations=num_relations, seed=seed, hidden_dim=d)
-    return cfg, params, params.layers[0].head
+    return cfg, params, params.layers[0]
 
 
 class TestLinearAttention:
@@ -344,9 +344,9 @@ class TestTransformerLayer:
         t2 = Tape()
         x2 = t2.tensor(x.data)
         from kgreason.model import linear_attention as _att  # recompute A by hand
-        zt = rmpnn_forward(t2, g, x2, q.relation, params.relations, layer.head.query_net, noise)
-        zh = rmpnn_forward(t2, g, x2, q.relation, params.relations, layer.head.value_net, indicator)
-        zb = _att(t2, zt, zh, layer.head)
+        zt = rmpnn_forward(t2, g, x2, q.relation, params.relations, layer.query_net, noise)
+        zh = rmpnn_forward(t2, g, x2, q.relation, params.relations, layer.value_net, indicator)
+        zb = _att(t2, zt, zh, layer)
         a = t2.layer_norm(t2.add(x2, zb), layer.ln1_gain, layer.ln1_bias, LAYER_NORM_EPS)
         expected = t2.layer_norm(a, layer.ln2_gain, layer.ln2_bias, LAYER_NORM_EPS)
         np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
@@ -365,7 +365,7 @@ class TestTransformerLayer:
             return t, t.sum(t.sigmoid(out))
 
         report = grad_check(loss_fn, params.parameters(), step=1e-5, tolerance=1e-4)
-        assert report.passed, report.failures
+        assert report.passed, report.errors
 
 
 class TestForward:
@@ -490,6 +490,23 @@ class TestForward:
         assert params.count() == sum(p.data.size for p in params.parameters())
         assert "layer1.head0.value.rel_w" in names and "relations" in names
         assert not any(".head1." in name or "merge" in name for name in names)
+        # checkpoints list their tensors in this order, under these names
+        _, params = make_model(num_relations=2, seed=29, hidden_dim=4)
+        rmpnn = [(f"layer0.head0.{side}.{name}", shape) for side in ("query", "value") for name, shape in [
+            ("proj_w", (8, 4)), ("proj_b", (1, 4)), ("rel_w", (4, 8)), ("rel_b", (2, 4)),
+            ("round0.retain", (1, 4)),
+            ("round0.update.w0", (4, 4)), ("round0.update.b0", (1, 4)),
+            ("round0.update.w1", (4, 4)), ("round0.update.b1", (1, 4)),
+            ("round0.update.w2", (4, 4)), ("round0.update.b2", (1, 4))]]
+        assert [(p.name, p.data.shape) for p in params.parameters()] == [
+            ("relations", (2, 4)), *rmpnn,
+            ("layer0.head0.w1", (4, 4)), ("layer0.head0.b1", (1, 4)),
+            ("layer0.head0.w2", (4, 4)), ("layer0.head0.b2", (1, 4)),
+            ("layer0.ln1.gain", (1, 4)), ("layer0.ln1.bias", (1, 4)),
+            ("layer0.ln2.gain", (1, 4)), ("layer0.ln2.bias", (1, 4)),
+            ("layer0.ffn.w0", (4, 16)), ("layer0.ffn.b0", (1, 16)),
+            ("layer0.ffn.w1", (16, 4)), ("layer0.ffn.b1", (1, 4)),
+            ("scorer.w0", (4, 4)), ("scorer.b0", (1, 4)), ("scorer.w1", (4, 1)), ("scorer.b1", (1, 1))]
 
     def test_full_exponential_mode_routes_dense(self, rng):
         cfg, params = make_model(num_relations=2, seed=28, kernel_mode="full_exponential")

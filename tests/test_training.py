@@ -16,7 +16,7 @@ import pytest
 from conftest import (
     LAYOUT_FAULTS, damage_layout, make_config, reference_save, rewrite_header, set_header, use_cpus,
 )
-from kgreason import training
+from kgreason import UserError, training
 from kgreason.autodiff import Parameter, Tape, grad_check
 from kgreason.data import DatasetSplit, Triplet, Vocabulary
 from kgreason.evaluation import WorkerError, available_cpus
@@ -127,7 +127,7 @@ class TestLoss:
             return t, negative_sampling_loss(t, t.sigmoid(logits), 3, negs)
 
         report = grad_check(loss_fn, [logits], step=1e-6, tolerance=1e-6)
-        assert report.passed, report.failures
+        assert report.passed, report.errors
 
 
 class TestAdam:
@@ -239,13 +239,14 @@ class TestTrainLoop:
               log=lambda *a, **k: None)
 
         # resume into the run's own directory: its log keeps epochs 1-2, then
-        # gains 3-4; a stale epoch-3 record from an interrupted attempt is dropped
+        # gains 3-4; a stale epoch-3 record from an interrupted attempt is dropped,
+        # and so is the record that attempt's crash cut short
         half_dir = tmp_path / "half"
         half_dir.mkdir()
         train(ds, mcfg, toy_train_config(epochs=2, eval_interval=1), out_dir=str(half_dir),
               log=lambda *a, **k: None)
         with open(half_dir / "metrics.jsonl", "a", encoding="utf-8") as fh:
-            fh.write('{"epoch": 3, "split": "train"}\n')
+            fh.write('{"epoch": 3, "split": "train"}\n{"epoch": 3, "spl')
         result = train(ds, mcfg, toy_train_config(epochs=4, eval_interval=1), out_dir=str(half_dir),
                        resume=load_checkpoint(str(half_dir / "checkpoint.bin")), log=lambda *a, **k: None)
 
@@ -253,6 +254,17 @@ class TestTrainLoop:
         log = (full_dir / "metrics.jsonl").read_bytes()
         assert (half_dir / "metrics.jsonl").read_bytes() == log
         assert [r["epoch"] for r in result.history] == [1, 1, 2, 2, 3, 3, 4, 4]
+
+    @pytest.mark.parametrize("line", [b"{\"epoch\": 1, \"spl", b"[1]", b"{}", b"{\"epoch\": \"1\"}",
+                                      b"{\"epoch\": true}", b"{\"epoch\": 1, \"split\": \"\xff\"}"],
+                             ids=["cut", "list", "no-epoch", "text-epoch", "bool-epoch", "not-utf8"])
+    def test_resume_refuses_a_bad_metrics_line(self, tmp_path, line):
+        path = tmp_path / "metrics.jsonl"
+        log = b'{"epoch": 1, "split": "train"}\n' + line + b'\n{"epoch": 2, "split": "train"}\n'
+        path.write_bytes(log)
+        with pytest.raises(UserError, match=r"metrics\.jsonl:2: not a metrics record"):
+            training._MetricsLog(str(path), resume_epoch=1)
+        assert path.read_bytes() == log   # left as it was
 
     def test_non_finite_gradient_names_group(self, monkeypatch):
         # a NaN planted in one accumulator survives backward; the loss stays finite
@@ -669,12 +681,13 @@ class TestCheckpointContainer:
                                               ["e"], ["r", "s"], {}, {}))
         blob = path.read_bytes()
         head_len = int.from_bytes(blob[8:16], "little")
-        cases = {
-            "header runs past": blob[:16 + head_len // 2],
-            "unreadable checkpoint header": blob[:16] + b"{" * head_len + blob[16 + head_len:],
-            "truncated checkpoint: \\d+ bytes follow the header, where its tensors need \\d+": blob[:-4],
-        }
-        for message, corrupt in cases.items():
+        cases = [
+            ("header runs past", blob[:16 + head_len // 2]),
+            *(("header runs past", blob[:8] + n.to_bytes(8, "little") + blob[16:]) for n in (2**40, 2**62, 2**63 + 5)),
+            ("unreadable checkpoint header", blob[:16] + b"{" * head_len + blob[16 + head_len:]),
+            ("truncated checkpoint: \\d+ bytes follow the header, where its tensors need \\d+", blob[:-4]),
+        ]
+        for message, corrupt in cases:
             path.write_bytes(corrupt)
             with pytest.raises(CheckpointError, match=message):
                 load_checkpoint(str(path))
