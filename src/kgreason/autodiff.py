@@ -158,7 +158,7 @@ class ProductSumPlan:
     both ways give the same bits. Otherwise ``pairs`` is None.
     """
 
-    __slots__ = ("num_keys", "num_a", "num_b", "buckets", "pairs")
+    __slots__ = ("num_keys", "num_a", "num_b", "buckets", "largest", "pairs")
 
     def __init__(self, keys, num_keys: int, ia, num_a: int, ib, num_b: int):
         self.num_keys, self.num_a, self.num_b = int(num_keys), int(num_a), int(num_b)
@@ -194,6 +194,7 @@ class ProductSumPlan:
             pos = starts[segs[lo:hi]] + np.minimum(slot, seg_len[lo:hi] - 1)
             pad_b = np.where(valid, ib[pos], self.num_b)
             self.buckets.append((segs[lo:hi], ia[pos].reshape(-1), pad_b.reshape(-1), k))
+        self.largest = max((len(ia) for _, ia, _, _ in self.buckets), default=0)   # slots of the largest bucket
         del keys, order, ia, ib  # the sorted copies, freed before the pairs are counted
         self._share_products()
 
@@ -225,15 +226,23 @@ class ProductSumPlan:
         evaluation spent half its time in page faults.
         """
         ua, ub = self.pairs
-        most = max(len(ip) for _, ip, _, _ in self.buckets)
-        work = np.empty((len(ua) + most, a.shape[1]), dtype=a.dtype)
+        work = np.empty((len(ua) + self.largest, a.shape[1]), dtype=a.dtype)
         # mode="clip" writes into ``work`` directly ("raise" buffers); the indices are the plan's own
         table = np.take(a, ua, axis=0, out=work[:len(ua)], mode="clip")
         table *= b.take(ub, axis=0)
         return table, work[len(ua):]
 
     def run(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The (num_keys, d) product-sum of ``a`` (num_a, d) and ``b`` (num_b, d)."""
+        """The (num_keys, d) product-sum of ``a`` (num_a, d) and ``b`` (num_b, d).
+
+        Without a pair table, each bucket gathers its ``a`` rows into one
+        buffer sized for the largest bucket, and multiplies them by ``b`` in
+        pieces of at most the largest operand's row count plus
+        ``_BUCKET_COST_ROWS``, gathered into a second buffer: the ``b`` rows
+        never take another copy of the bucket's slots, and a bucket is cut
+        only where that saves more rows than running a bucket costs. Both
+        buffers are made once per run, as the pair table's are.
+        """
         if a.shape[0] != self.num_a or b.shape[0] != self.num_b or a.shape[1] != b.shape[1]:
             raise ShapeError("ProductSumPlan.run", a.shape, b.shape)
         d = a.shape[1]
@@ -241,12 +250,18 @@ class ProductSumPlan:
         b = np.concatenate((b, np.zeros((1, d), dtype=b.dtype)))
         if self.pairs is not None:
             table, slots = self._table(a, b)
+        elif self.buckets:
+            slots = np.empty((self.largest, d), dtype=a.dtype)
+            piece = np.empty((min(self.largest, max(self.num_keys, self.num_a, self.num_b) + _BUCKET_COST_ROWS), d),
+                             dtype=b.dtype)
         for keys, ia, ib, k in self.buckets:
             if ib is None:
                 prod = np.take(table, ia, axis=0, out=slots[:len(ia)], mode="clip")
             else:
-                prod = a.take(ia, axis=0)
-                prod *= b.take(ib, axis=0)
+                prod = a.take(ia, axis=0, out=slots[:len(ia)], mode="clip")
+                for lo in range(0, len(ib), len(piece)):
+                    rows = ib[lo:lo + len(piece)]
+                    prod[lo:lo + len(rows)] *= b.take(rows, axis=0, out=piece[:len(rows)], mode="clip")
             prod = prod.reshape(k, -1)
             while k > 1:
                 half = k // 2
@@ -263,6 +278,43 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bits match; BLAS takes many times longer for it.
     """
     return a * b if a.shape[1] == 1 else a @ b
+
+
+def _row_pieces(rows: int, count: int, least: int) -> list:
+    """Bounds of ``count`` near-equal row pieces of at least ``least`` rows each, or else one piece.
+
+    No piece holds a single row, whatever ``least``: a one-row float64
+    product takes BLAS's gemv path, whose bits differ from the gemm rows of
+    the same product; pieces of two rows or more match them.
+    """
+    if count < 2 or rows < count * max(least, 2):
+        return [(0, rows)]
+    cuts = [rows * i // count for i in range(count + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _mlp_in_pieces(x: np.ndarray, wds: list, bds: list, pieces: list) -> np.ndarray:
+    """The value of ``Tape.mlp``, computed piece by piece over the rows of ``x``.
+
+    Each hidden layer writes every piece into one buffer, and the last layer
+    into its rows of the output; each row sees the chain's operations in the
+    chain's order, so the bits are the chain's.
+    """
+    most = max(hi - lo for lo, hi in pieces)
+    dtypes = [x.dtype]
+    for wd in wds:
+        dtypes.append(np.result_type(dtypes[-1], wd.dtype))   # the dtype of the chain's h @ wd
+    hidden = [np.empty((most, wd.shape[1]), dtype=dt) for wd, dt in zip(wds[:-1], dtypes[1:])]
+    out = np.empty((x.shape[0], wds[-1].shape[1]), dtype=dtypes[-1])
+    for lo, hi in pieces:
+        h = x[lo:hi]
+        for buf, wd, bd in zip(hidden, wds, bds):
+            h = np.matmul(h, wd, out=buf[:hi - lo])
+            h += bd
+            np.maximum(h, 0.0, out=h)
+        h = np.matmul(h, wds[-1], out=out[lo:hi])
+        h += bds[-1]
+    return out
 
 
 def _add_broadcast_grad(b: Tensor, kind: str, g: np.ndarray, fresh: bool) -> None:
@@ -378,16 +430,33 @@ class Tape:
 
         The value and every gradient are bit for bit those of the
         ``matmul``/``add``/``relu`` chain it replaces; one layer is ``x @ w + b``.
+
+        A tape that does not record streams a stack whose hidden layers are
+        wider than its input (the feed-forward block, d -> 4d -> d): it runs
+        the rows in (widest hidden width // input width) pieces through one
+        reused buffer per hidden layer, so no hidden activation exists whole.
+        Each piece holds at least as many rows as the widest hidden layer has
+        columns; shorter pieces multiply blocks smaller than their weights,
+        and BLAS's cost per call outweighs the memory they free (a
+        135-entity graph's feed-forward block ran 1.85x slower streamed).
         """
         if not weights or len(weights) != len(biases):
             raise ShapeError("mlp", f"{len(weights)} weights", f"{len(biases)} biases")
         wds = [w.data for w in weights]
         bds = [b.data for b in biases]
+        width = x.shape[1]
+        for wd, bd in zip(wds, bds):
+            if width != wd.shape[0] or bd.shape != (1, wd.shape[1]):
+                raise ShapeError("mlp", (x.shape[0], width), wd.shape, bd.shape)
+            width = wd.shape[1]
+        if not self.grad_enabled:
+            widest = max((wd.shape[1] for wd in wds[:-1]), default=0)
+            pieces = _row_pieces(x.shape[0], widest // max(x.shape[1], 1), widest)
+            if len(pieces) > 1:
+                return self._emit("mlp", _mlp_in_pieces(x.data, wds, bds, pieces), None)
         inputs = [x.data]          # each layer's input: x, then (for a backward pass) the ReLU outputs
         h = x.data
         for i, (wd, bd) in enumerate(zip(wds, bds)):
-            if h.shape[1] != wd.shape[0] or bd.shape != (1, wd.shape[1]):
-                raise ShapeError("mlp", h.shape, wd.shape, bd.shape)
             h = h @ wd
             h += bd
             if i < len(wds) - 1:

@@ -254,12 +254,19 @@ def rmpnn_forward(tape: Tape, graph: KnowledgeGraph, x: Tensor, rq: int,
     ``exclude`` is an optional (sources, relations, targets) triple of edge
     copies that every round leaves out of its aggregate (used to drop a
     training query's own edge without touching the full edge list).
+
+    On a tape that does not record, ``init_extra`` is released once the
+    projection has read it (freed, if the caller holds no other reference),
+    and each round's state and aggregate before its update runs.
     """
     z = tape.mlp(tape.concat_columns(x, tape.tensor(init_extra)), [net.proj_w], [net.proj_b])
+    del init_extra
     rhat = relation_transform(tape, relations, rq, net)
     for rnd in net.rounds:
         agg = tape.relational_aggregate(z, rhat, graph, exclude)
-        z = rnd.update.apply(tape, tape.add(tape.mul(z, rnd.retain), agg))
+        z = tape.add(tape.mul(z, rnd.retain), agg)
+        del agg
+        z = rnd.update.apply(tape, z)
     return z
 
 
@@ -306,7 +313,9 @@ def linear_attention(tape: Tape, ztilde: Tensor, zhat: Tensor, layer: LayerParam
     qktv = tape.matmul(q, ktv)                                  # (n, d)
     del q, k, keys
     colsum_v = tape.scale(tape.mean_rows(v), n)                 # 1^T V, (1, d)
-    mixed = tape.add(v, tape.scale(tape.add(qktv, colsum_v), 1.0 / n))
+    mixed = tape.add(qktv, colsum_v)
+    del qktv
+    mixed = tape.add(v, tape.scale(mixed, 1.0 / n))
     return tape.mul(mixed, tape.reciprocal(denom))
 
 
@@ -402,13 +411,15 @@ class QuerySide:
     """Layer 0's query-side tensors for one query relation under one noise draw.
 
     Layer 0's input is all zeros, so its query network sees only the noise
-    and the query relation, never the head: ``ztilde`` and the attention's
-    key side (``attention_keys``; ``None`` under the exponential kernel,
-    whose dense path projects its own) serve every head of that relation,
-    provided no edge is excluded.
+    and the query relation, never the head: what it holds serves every head
+    of that relation, provided no edge is excluded. Under the approximate
+    kernel that is the attention's key side (``attention_keys``), which is
+    all ``linear_attention`` reads, and ``ztilde`` is ``None``; under the
+    exponential kernel, whose dense path projects its own, it is ``ztilde``
+    and ``keys`` is ``None``.
     """
 
-    ztilde: Tensor
+    ztilde: Optional[Tensor]
     keys: Optional[tuple]
 
 
@@ -420,27 +431,32 @@ def layer0_query_side(graph: KnowledgeGraph, query: Query, params: ModelParams,
     layer = params.layers[0]
     x = tape.tensor(np.zeros((graph.num_entities, config.hidden_dim), dtype=config.dtype))
     ztilde = rmpnn_forward(tape, graph, x, query.relation, params.relations, layer.query_net, noise)
-    keys = attention_keys(tape, ztilde, layer) if config.kernel_mode == "approximate" else None
-    return QuerySide(ztilde, keys)
+    if config.kernel_mode == "approximate":
+        return QuerySide(None, attention_keys(tape, ztilde, layer))
+    return QuerySide(ztilde, None)
 
 
 def transformer_layer(tape: Tape, graph: KnowledgeGraph, x: Tensor, query: Query,
                       relations: Parameter, layer: LayerParams, config: ModelConfig,
-                      noise: np.ndarray, indicator: np.ndarray, exclude=None,
-                      state: Optional[ForwardState] = None, *,
+                      noise: np.ndarray, exclude=None, state: Optional[ForwardState] = None, *,
                       query_side: Optional[QuerySide] = None) -> Tensor:
     """One attention block: Attn -> residual -> LN -> FFN -> residual -> LN.
 
     ``query_side``, given only for layer 0, stands in for its query network.
     Each (|V|, d) tensor is dropped once its last reader has run, so on a
     tape that does not record it is freed there; a recording tape keeps it.
+    The value network's head indicator is made for it alone and freed once
+    projected. A tape that does not record also streams the feed-forward
+    block's 4d-wide hidden layer (``Tape.mlp``), and message passing frees
+    its temporaries as it goes (``rmpnn_forward``).
     """
     if query_side is None:
         ztilde = rmpnn_forward(tape, graph, x, query.relation, relations, layer.query_net, noise, exclude)
         keys = None
     else:
         ztilde, keys = query_side.ztilde, query_side.keys
-    zhat = rmpnn_forward(tape, graph, x, query.relation, relations, layer.value_net, indicator, exclude)
+    zhat = rmpnn_forward(tape, graph, x, query.relation, relations, layer.value_net,
+                         head_indicator(config, graph.num_entities, query.head), exclude)
     if state is not None:
         state.query_reprs.append(ztilde.data.copy())
         state.value_reprs.append(zhat.data.copy())
@@ -462,7 +478,9 @@ def forward(tape: Tape, graph: KnowledgeGraph, query: Query, params: ModelParams
     """Score every entity as a tail for the query: sigmoid(MLP(X^(L))), shape (|V|, 1).
 
     ``query_side`` is ``layer0_query_side`` of this query's relation under
-    this ``noise``, and needs ``exclude_query_edge=False``.
+    this ``noise``, and needs ``exclude_query_edge=False``. With ``state``,
+    layer 0's query network runs here all the same, since ``state`` copies
+    the ``ztilde`` that an approximate-kernel ``query_side`` does not keep.
     """
     n = graph.num_entities
     _check_query(graph, query)
@@ -471,11 +489,12 @@ def forward(tape: Tape, graph: KnowledgeGraph, query: Query, params: ModelParams
     exclude = None
     if exclude_query_edge:
         exclude = graph.excluded_edge_endpoints(query.head, query.relation, query.gold_tail)
-    indicator = head_indicator(config, n, query.head)
+    if state is not None:
+        query_side = None
     x = tape.tensor(np.zeros((n, config.hidden_dim), dtype=config.dtype))
     for layer in params.layers:
         x = transformer_layer(tape, graph, x, query, params.relations, layer, config, noise,
-                              indicator, exclude, state, query_side=query_side)
+                              exclude, state, query_side=query_side)
         query_side = None
     return tape.sigmoid(params.scorer.apply(tape, x))
 

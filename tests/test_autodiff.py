@@ -1,5 +1,6 @@
 """Adjoint correctness and contract tests for the autodiff engine."""
 
+import itertools
 import os
 import tracemalloc
 
@@ -16,6 +17,7 @@ from kgreason.autodiff import (
     ProductSumPlan,
     ShapeError,
     Tape,
+    _row_pieces,
     grad_check,
 )
 from kgreason.data import Triplet, build_graph, load_dataset
@@ -455,21 +457,52 @@ class TestFusedNodesBitEqual:
         assert_bit_equal(run_both(build(mlp_chain), build(Tape.mlp), shapes, dtype, 4))
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_mlp_without_recording(self, dtype, layers):
         # A tape that does not record keeps no layer inputs; its value keeps the bits of
-        # the recording node and of the chain, and its input is left as it was.
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((97, 32)).astype(dtype)
-        weights = [Parameter(f"w{i}", rng.standard_normal((32, 32)).astype(dtype)) for i in range(layers)]
-        biases = [Parameter(f"b{i}", rng.standard_normal((1, 32)).astype(dtype)) for i in range(layers)]
-        given = x.copy()
-        loose = Tape(grad=False)
-        values = [stack(t, t.tensor(x), weights, biases).data
-                  for t, stack in ((loose, Tape.mlp), (Tape(), Tape.mlp), (Tape(), mlp_chain))]
-        assert len(loose) == 0 and values[0].dtype == dtype
-        assert bits(values[0]) == bits(values[1]) == bits(values[2])
-        assert bits(x) == bits(given)
+        # the recording node and of the chain, and its input is left as it was. Stacks
+        # with a hidden layer 4x wider than the input (the FFN, and a 3-layer one) stream
+        # their rows in 4 pieces once each piece holds 128 rows, which 901 and 4,001 rows
+        # do not divide evenly; at 901 rows the whole 128 -> 32 product is above
+        # OpenBLAS's small-matrix size (10^6 multiply-adds) and each piece below it. 5
+        # rows would give one-row pieces and 135 short ones, so they run whole.
+        stacks = {1: [[32, 32]], 2: [[32, 128, 32]], 3: [[32, 32, 32, 32], [32, 128, 96, 32]]}[layers]
+        for dims, rows in itertools.product(stacks, [5, 135, 901, 4001]):
+            rng = np.random.default_rng(rows)
+            x = rng.standard_normal((rows, dims[0])).astype(dtype)
+            weights = [Parameter(f"w{i}", rng.standard_normal(dims[i:i + 2]).astype(dtype))
+                       for i in range(len(dims) - 1)]
+            biases = [Parameter(f"b{i}", rng.standard_normal((1, dims[i + 1])).astype(dtype))
+                      for i in range(len(dims) - 1)]
+            given = x.copy()
+            loose = Tape(grad=False)
+            tracemalloc.start()
+            try:
+                streamed = loose.mlp(loose.tensor(x), weights, biases).data
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            values = [streamed] + [stack(t, t.tensor(x), weights, biases).data
+                                   for t, stack in ((Tape(), Tape.mlp), (Tape(), mlp_chain))]
+            assert len(loose) == 0 and streamed.dtype == dtype
+            assert bits(values[0]) == bits(values[1]) == bits(values[2]), (dims, rows)
+            assert bits(x) == bits(given)
+            widest = max(dims[1:-1], default=0)
+            pieces = _row_pieces(rows, widest // dims[0], widest)
+            assert len(pieces) == (4 if widest > dims[0] and rows > 4 * widest else 1), (dims, rows)
+            if len(pieces) > 1 and rows > 1000:  # the widest hidden activation never exists whole
+                assert peak < rows * max(dims) * np.dtype(dtype).itemsize, (dims, rows, peak)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 4, 7])
+    @pytest.mark.parametrize("least", [0, 1, 2, 5])
+    def test_row_pieces_never_hold_one_row(self, count, least):
+        # a one-row float64 product takes BLAS's gemv path, whose bits differ from gemm's
+        for rows in range(60):
+            pieces = _row_pieces(rows, count, least)
+            assert [lo for lo, _ in pieces] == [0] + [hi for _, hi in pieces[:-1]]
+            assert pieces[-1][1] == rows
+            assert len(pieces) == (count if count >= 2 and rows >= count * max(least, 2) else 1)
+            assert len(pieces) == 1 or min(hi - lo for lo, hi in pieces) >= max(least, 2)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("d", [5, 32, 96])
@@ -754,6 +787,22 @@ class TestPairTable:
         assert bits(out.data) == bits(direct["by_target"].run(z.data, rhat.data))
         assert bits(z.grad) == bits(direct["by_source"].run(g, rhat.data))
         assert bits(rhat.grad) == bits(direct["by_relation"].run(g, z.data))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_direct_run_multiplies_in_pieces(self, dtype):
+        # 40 keys of 65-128 slots each over 300 rows of a: one bucket of 40 x (longest) slots,
+        # which the direct path multiplies by b in pieces of 300 + _BUCKET_COST_ROWS rows
+        rng = np.random.default_rng(9)
+        keys = np.repeat(np.arange(40), rng.integers(65, 129, size=40))
+        args = (keys, 40, rng.integers(300, size=len(keys)), 300, rng.integers(40, size=len(keys)), 40)
+        plan = ProductSumPlan(*args)
+        assert plan.pairs is None and len(plan.buckets) == 1
+        assert len(plan.buckets[0][1]) > 8 * (300 + _BUCKET_COST_ROWS)
+        a = special_values(rng, (300, 7), dtype)
+        b = special_values(rng, (40, 7), dtype)
+        with np.errstate(invalid="ignore"):
+            got, want = plan.run(a, b), DirectPlan(*args).run(a, b)
+        assert got.dtype == want.dtype and bits(got) == bits(want)
 
     @pytest.mark.parametrize("name", ["sparse-shaped", "umls"])
     def test_build_memory(self, name):

@@ -2,8 +2,10 @@
 
 import gc
 import os
+import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from kgreason.model import (
     dense_attention_oracle,
     forward,
     head_indicator,
+    layer0_query_side,
     linear_attention,
     make_noise,
     pin_noise,
@@ -34,6 +37,37 @@ from kgreason.model import (
 from kgreason.training import negative_sampling_loss
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def traced_peak_site(fn):
+    """Run ``fn`` under ``tracemalloc``; return the call stack that reached its peak traced bytes.
+
+    A ``sys.setprofile`` hook reads the peak at every Python and C call and
+    return, then resets it, so each rise is charged to the calls running when
+    it was seen: a C function's own allocations to that function and its
+    Python callers, innermost first.
+    """
+    peak, site = 0, None
+
+    def watch(frame, event, arg):
+        nonlocal peak, site
+        now = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        if now > peak:
+            stack = [arg.__name__] if event.startswith("c_") else []
+            while frame is not None and len(stack) < 5:
+                stack.append(f"{frame.f_code.co_name}:{frame.f_lineno}")
+                frame = frame.f_back
+            peak, site = now, " < ".join(stack)
+
+    tracemalloc.start()
+    sys.setprofile(watch)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        tracemalloc.stop()
+    return site
 
 
 # --- independent oracles -----------------------------------------------------
@@ -322,7 +356,7 @@ class TestTransformerLayer:
         x = t.tensor(rng.standard_normal((7, cfg.hidden_dim)))
         q = Query(0, 1, 2, frozenset({2}))
         out = transformer_layer(t, g, x, q, params.relations, params.layers[0], cfg,
-                                np.zeros((7, cfg.hidden_dim)), head_indicator(cfg, 7, q.head))
+                                np.zeros((7, cfg.hidden_dim)))
         assert out.shape == (7, cfg.hidden_dim)
 
     def test_zero_ffn_reduces_to_layernorm(self, rng):
@@ -339,7 +373,7 @@ class TestTransformerLayer:
         t = Tape()
         x = t.tensor(rng.standard_normal((6, cfg.hidden_dim)))
         indicator = head_indicator(cfg, 6, q.head)
-        out = transformer_layer(t, g, x, q, params.relations, layer, cfg, noise, indicator)
+        out = transformer_layer(t, g, x, q, params.relations, layer, cfg, noise)
 
         t2 = Tape()
         x2 = t2.tensor(x.data)
@@ -361,7 +395,7 @@ class TestTransformerLayer:
         def loss_fn():
             t = Tape()
             out = transformer_layer(t, g, t.tensor(x_in), q, params.relations,
-                                    params.layers[0], cfg, noise, head_indicator(cfg, 5, q.head))
+                                    params.layers[0], cfg, noise)
             return t, t.sum(t.sigmoid(out))
 
         report = grad_check(loss_fn, params.parameters(), step=1e-5, tolerance=1e-4)
@@ -428,14 +462,17 @@ class TestForward:
             gc.enable()
 
     def test_inference_forward_peak_memory(self):
-        # The sparse config's architecture (3 layers, 2 + 3 rounds, d = 32, float32) on a
-        # 4000-entity graph whose endpoints follow Zipf(0.8), as WN18RR's roughly do, so no
-        # one edge bucket outweighs the (|V|, d) tensors. An inference forward frees each
-        # (|V|, d) intermediate once its last reader has run and peaks at 9.2 blocks of
-        # |V| x d; keeping each layer's intermediates until the layer returns peaks at 12.1,
-        # and keeping just the attention's inputs, its keys, its output or the mlp's layer
-        # inputs peaks at 10.0-11.0.
-        cfg = pin_noise(load_run_config(os.path.join(CONFIGS, "wn18rr_v1_ind.cfg"))["model"], 3)
+        # The sparse config's architecture (3 layers, 2 + 3 rounds, d = 32) on a 4000-entity
+        # graph whose endpoints follow Zipf(0.8), as WN18RR's roughly do, so no one edge
+        # bucket outweighs the (|V|, d) tensors. An inference forward frees each (|V|, d)
+        # intermediate once its last reader has run, streams the FFN's 4d-wide hidden
+        # layer, builds the head indicator for the value network alone, and multiplies
+        # message passing's edge products in bounded pieces. It peaks at 7.17 blocks of
+        # |V| x d, in float32 and in float64, inside a value network's message passing.
+        # Holding the 4d-wide hidden layer whole and the head indicator for the whole
+        # forward peaked at 9.18; keeping each layer's intermediates until the layer
+        # returns, at 12.1.
+        base = load_run_config(os.path.join(CONFIGS, "wn18rr_v1_ind.cfg"))["model"]
         n, m = 4000, 10000
         rng = np.random.default_rng(31)
         popularity = 1.0 / np.arange(1, n + 1) ** 0.8
@@ -443,17 +480,44 @@ class TestForward:
         trips = [Triplet(int(h), int(r), int(t))
                  for h, r, t in zip(heads, rng.integers(11, size=m), tails) if h != t]
         g = build_graph(trips, n, 11, add_inverse=True)
-        params = ModelParams(cfg, g.num_relations, np.random.default_rng(32), grads=False)
         q = Query(7, 3, 0, frozenset({0}))
-        score_query(g, q, params, cfg)  # first use of the graph's plans
-        tracemalloc.start()
-        try:
-            score_query(g, q, params, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        blocks = peak / (n * cfg.hidden_dim * np.dtype(cfg.dtype).itemsize)
-        assert blocks < 9.7, f"inference forward peaked at {blocks:.2f} blocks of |V| x d"
+        for precision in ("float32", "float64"):
+            cfg = pin_noise(replace(base, precision=precision), 3)
+            params = ModelParams(cfg, g.num_relations, np.random.default_rng(32), grads=False)
+            score_query(g, q, params, cfg)  # first use of the graph's plans
+            tracemalloc.start()
+            try:
+                score_query(g, q, params, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            block = n * cfg.hidden_dim * np.dtype(cfg.dtype).itemsize
+            if peak >= 7.2 * block:
+                site = traced_peak_site(lambda: score_query(g, q, params, cfg))
+                pytest.fail(f"{precision} inference forward peaked at {peak / block:.2f} blocks of "
+                            f"|V| x d, at {site}")
+
+    @pytest.mark.parametrize("kernel_mode", ["approximate", "full_exponential"])
+    def test_query_side_holds_only_what_its_kernel_reads(self, rng, kernel_mode):
+        # the approximate kernel reads the keys alone, so its query side drops ztilde; a
+        # forward that collects state runs layer 0's query network itself, and every
+        # output keeps the bits of a forward without the query side
+        cfg, params = make_model(num_relations=4, seed=38, attention_layers=2, kernel_mode=kernel_mode,
+                                 noise_mode="fixed_seed")
+        g = random_graph(rng, 9, 2, 16)
+        q = Query(2, 1, 5, frozenset({5}))
+        noise = make_noise(cfg, 9)
+        side = layer0_query_side(g, q, params, cfg, noise)
+        assert (side.ztilde is None) == (kernel_mode == "approximate")
+        assert (side.keys is None) == (kernel_mode == "full_exponential")
+        plain, sided = ForwardState(), ForwardState()
+        want = forward(Tape(grad=False), g, q, params, cfg, noise, state=plain).data
+        got = forward(Tape(grad=False), g, q, params, cfg, noise, state=sided, query_side=side).data
+        assert got.tobytes() == want.tobytes()
+        assert len(sided.query_reprs) == len(plain.query_reprs) == 2
+        for a, b in zip(sided.query_reprs + sided.value_reprs, plain.query_reprs + plain.value_reprs):
+            assert a.tobytes() == b.tobytes()
+        assert score_query(g, q, params, cfg, noise, query_side=side).tobytes() == want[:, 0].tobytes()
 
     def test_state_collection_shapes(self, rng):
         cfg, params = make_model(num_relations=4, seed=25, attention_layers=2)
