@@ -236,12 +236,11 @@ class ProductSumPlan:
         """The (num_keys, d) product-sum of ``a`` (num_a, d) and ``b`` (num_b, d).
 
         Without a pair table, each bucket gathers its ``a`` rows into one
-        buffer sized for the largest bucket, and multiplies them by ``b`` in
-        pieces of at most the largest operand's row count plus
-        ``_BUCKET_COST_ROWS``, gathered into a second buffer: the ``b`` rows
-        never take another copy of the bucket's slots, and a bucket is cut
-        only where that saves more rows than running a bucket costs. Both
-        buffers are made once per run, as the pair table's are.
+        buffer per run, sized for the largest bucket as the pair table's is,
+        and multiplies them by ``b`` in pieces of at most the largest
+        operand's row count plus ``_BUCKET_COST_ROWS``: the ``b`` rows never
+        take another copy of the bucket's slots, and a bucket is cut only
+        where that saves more rows than running a bucket costs.
         """
         if a.shape[0] != self.num_a or b.shape[0] != self.num_b or a.shape[1] != b.shape[1]:
             raise ShapeError("ProductSumPlan.run", a.shape, b.shape)
@@ -252,16 +251,14 @@ class ProductSumPlan:
             table, slots = self._table(a, b)
         elif self.buckets:
             slots = np.empty((self.largest, d), dtype=a.dtype)
-            piece = np.empty((min(self.largest, max(self.num_keys, self.num_a, self.num_b) + _BUCKET_COST_ROWS), d),
-                             dtype=b.dtype)
+        step = max(self.num_keys, self.num_a, self.num_b) + _BUCKET_COST_ROWS
         for keys, ia, ib, k in self.buckets:
             if ib is None:
                 prod = np.take(table, ia, axis=0, out=slots[:len(ia)], mode="clip")
             else:
                 prod = a.take(ia, axis=0, out=slots[:len(ia)], mode="clip")
-                for lo in range(0, len(ib), len(piece)):
-                    rows = ib[lo:lo + len(piece)]
-                    prod[lo:lo + len(rows)] *= b.take(rows, axis=0, out=piece[:len(rows)], mode="clip")
+                for lo in range(0, len(ib), step):
+                    prod[lo:lo + step] *= b.take(ib[lo:lo + step], axis=0)
             prod = prod.reshape(k, -1)
             while k > 1:
                 half = k // 2
@@ -449,8 +446,8 @@ class Tape:
             if width != wd.shape[0] or bd.shape != (1, wd.shape[1]):
                 raise ShapeError("mlp", (x.shape[0], width), wd.shape, bd.shape)
             width = wd.shape[1]
-        if not self.grad_enabled:
-            widest = max((wd.shape[1] for wd in wds[:-1]), default=0)
+        if not self.grad_enabled and len(wds) > 1:
+            widest = max(wd.shape[1] for wd in wds[:-1])
             pieces = _row_pieces(x.shape[0], widest // max(x.shape[1], 1), widest)
             if len(pieces) > 1:
                 return self._emit("mlp", _mlp_in_pieces(x.data, wds, bds, pieces), None)
