@@ -134,6 +134,14 @@ _PAIR_REUSE = 4
 # key space exceeds this many keys per slot builds no table and marks nothing.
 _PAIR_KEYS_PER_SLOT = 8
 
+# OpenBLAS (0.3.31, as NumPy ships it) runs a product of at most this many
+# multiply-adds through its small-matrix kernels, which can round a row otherwise
+# than the kernel of a larger product does. Row pieces of a d -> 4d -> d block at
+# or under this size gave other last bits than the whole block above it, in float32
+# (d = 8, 20, 24, 40, 128) and float64 (d = 4, 10, 12, 20, 128); pieces above it
+# matched at every width tried from 4 to 128.
+_SMALL_PRODUCT_MACS = 100 ** 3
+
 
 class ProductSumPlan:
     """Segment plan for ``out[key[e]] += a[ia[e]] * b[ib[e]]`` over index triples ``e``.
@@ -277,15 +285,23 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b if a.shape[1] == 1 else a @ b
 
 
-def _row_pieces(rows: int, count: int, least: int) -> list:
-    """Bounds of ``count`` near-equal row pieces of at least ``least`` rows each, or else one piece.
+def _mlp_pieces(rows: int, wds: list) -> list | None:
+    """Row bounds of the pieces a non-recording ``Tape.mlp`` streams its stack in, or None.
 
-    No piece holds a single row, whatever ``least``: a one-row float64
-    product takes BLAS's gemv path, whose bits differ from the gemm rows of
-    the same product; pieces of two rows or more match them.
+    A stack whose hidden layers are wider than its input runs in (widest
+    hidden width // input width) near-equal pieces, provided every piece's
+    product in every layer is above ``_SMALL_PRODUCT_MACS``. The whole
+    product then is too, and piece and whole take BLAS's large-matrix
+    kernel, which gives a row the same bits whatever the row count. Each
+    piece also holds two rows or more: a one-row float64 product takes the
+    gemv path, whose bits differ from gemm's.
     """
-    if count < 2 or rows < count * max(least, 2):
-        return [(0, rows)]
+    count = max([wd.shape[1] for wd in wds[:-1]], default=0) // (wds[0].shape[0] or 1)
+    if count < 2 or rows < 2 * count:
+        return None
+    least = rows // count                               # rows in the shortest piece
+    if least * min([wd.size for wd in wds]) <= _SMALL_PRODUCT_MACS:
+        return None
     cuts = [rows * i // count for i in range(count + 1)]
     return list(zip(cuts[:-1], cuts[1:]))
 
@@ -429,13 +445,12 @@ class Tape:
         ``matmul``/``add``/``relu`` chain it replaces; one layer is ``x @ w + b``.
 
         A tape that does not record streams a stack whose hidden layers are
-        wider than its input (the feed-forward block, d -> 4d -> d): it runs
-        the rows in (widest hidden width // input width) pieces through one
+        wider than its input (the feed-forward block, d -> 4d -> d) once the
+        rows are many enough (``_mlp_pieces``; at d = 32, 980 rows): it runs
+        them in (widest hidden width // input width) pieces through one
         reused buffer per hidden layer, so no hidden activation exists whole.
-        Each piece holds at least as many rows as the widest hidden layer has
-        columns; shorter pieces multiply blocks smaller than their weights,
-        and BLAS's cost per call outweighs the memory they free (a
-        135-entity graph's feed-forward block ran 1.85x slower streamed).
+        Every piece's products stay above BLAS's small-matrix size, which
+        keeps the chain's bits.
         """
         if not weights or len(weights) != len(biases):
             raise ShapeError("mlp", f"{len(weights)} weights", f"{len(biases)} biases")
@@ -446,10 +461,11 @@ class Tape:
             if width != wd.shape[0] or bd.shape != (1, wd.shape[1]):
                 raise ShapeError("mlp", (x.shape[0], width), wd.shape, bd.shape)
             width = wd.shape[1]
-        if not self.grad_enabled and len(wds) > 1:
-            widest = max(wd.shape[1] for wd in wds[:-1])
-            pieces = _row_pieces(x.shape[0], widest // max(x.shape[1], 1), widest)
-            if len(pieces) > 1:
+        # a piece holds at most half the rows, so a first layer under twice the small-matrix
+        # size over all of them cannot stream; this spares small graphs' calls _mlp_pieces
+        if not self.grad_enabled and len(wds) > 1 and x.shape[0] * wds[0].size > 2 * _SMALL_PRODUCT_MACS:
+            pieces = _mlp_pieces(x.shape[0], wds)
+            if pieces:
                 return self._emit("mlp", _mlp_in_pieces(x.data, wds, bds, pieces), None)
         inputs = [x.data]          # each layer's input: x, then (for a backward pass) the ReLU outputs
         h = x.data

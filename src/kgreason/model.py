@@ -447,8 +447,9 @@ def transformer_layer(tape: Tape, graph: KnowledgeGraph, x: Tensor, query: Query
     tape that does not record it is freed there; a recording tape keeps it.
     The value network's head indicator is made for it alone and freed once
     projected. A tape that does not record also streams the feed-forward
-    block's 4d-wide hidden layer (``Tape.mlp``), and message passing frees
-    its temporaries as it goes (``rmpnn_forward``).
+    block's 4d-wide hidden layer on graphs large enough for its row pieces
+    to keep the bits (``Tape.mlp``; at d = 32, 980 entities), and message
+    passing frees its temporaries as it goes (``rmpnn_forward``).
     """
     if query_side is None:
         ztilde = rmpnn_forward(tape, graph, x, query.relation, relations, layer.query_net, noise, exclude)

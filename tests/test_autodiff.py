@@ -11,13 +11,14 @@ from conftest import chain_graph, facts, random_graph
 from kgreason import data
 from kgreason.autodiff import (
     _BUCKET_COST_ROWS,
+    _SMALL_PRODUCT_MACS,
     ContractError,
     DeterminismError,
     Parameter,
     ProductSumPlan,
     ShapeError,
     Tape,
-    _row_pieces,
+    _mlp_pieces,
     grad_check,
 )
 from kgreason.data import Triplet, build_graph, load_dataset
@@ -456,53 +457,78 @@ class TestFusedNodesBitEqual:
 
         assert_bit_equal(run_both(build(mlp_chain), build(Tape.mlp), shapes, dtype, 4))
 
+    @staticmethod
+    def assert_mlp_keeps_the_chains_bits(dims, rows, dtype):
+        """A non-recording mlp over ``rows`` rows against the recording node and the chain.
+
+        Returns whether it streamed, read from its traced peak: a streamed stack never
+        holds its widest hidden activation whole.
+        """
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal((rows, dims[0])).astype(dtype)
+        weights = [Parameter(f"w{i}", rng.standard_normal(dims[i:i + 2]).astype(dtype))
+                   for i in range(len(dims) - 1)]
+        biases = [Parameter(f"b{i}", rng.standard_normal((1, dims[i + 1])).astype(dtype))
+                  for i in range(len(dims) - 1)]
+        given = x.copy()
+        loose = Tape(grad=False)
+        tracemalloc.start()
+        try:
+            streamed = loose.mlp(loose.tensor(x), weights, biases).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        values = [streamed] + [stack(t, t.tensor(x), weights, biases).data
+                               for t, stack in ((Tape(), Tape.mlp), (Tape(), mlp_chain))]
+        assert len(loose) == 0 and streamed.dtype == dtype
+        assert bits(values[0]) == bits(values[1]) == bits(values[2]), (dims, rows)
+        assert bits(x) == bits(given)
+        out = rows * dims[-1] * x.itemsize
+        return peak < out + rows * max(dims[1:-1], default=0) * x.itemsize
+
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_mlp_without_recording(self, dtype, layers):
         # A tape that does not record keeps no layer inputs; its value keeps the bits of
         # the recording node and of the chain, and its input is left as it was. Stacks
-        # with a hidden layer 4x wider than the input (the FFN, and a 3-layer one) stream
-        # their rows in 4 pieces once each piece holds 128 rows, which 901 and 4,001 rows
-        # do not divide evenly; at 901 rows the whole 128 -> 32 product is above
-        # OpenBLAS's small-matrix size (10^6 multiply-adds) and each piece below it. 5
-        # rows would give one-row pieces and 135 short ones, so they run whole.
+        # with a hidden layer 4x wider than the input (the FFN, and a 3-layer one)
+        # stream their rows in 4 pieces once each piece's products are above BLAS's
+        # small-matrix size: 4,001 and 6,630 rows, which 4 does not divide. At 5, 135
+        # and 901 rows (where the whole 128 -> 32 product is above that size and a
+        # quarter of it is not) they run whole.
         stacks = {1: [[32, 32]], 2: [[32, 128, 32]], 3: [[32, 32, 32, 32], [32, 128, 96, 32]]}[layers]
-        for dims, rows in itertools.product(stacks, [5, 135, 901, 4001]):
-            rng = np.random.default_rng(rows)
-            x = rng.standard_normal((rows, dims[0])).astype(dtype)
-            weights = [Parameter(f"w{i}", rng.standard_normal(dims[i:i + 2]).astype(dtype))
-                       for i in range(len(dims) - 1)]
-            biases = [Parameter(f"b{i}", rng.standard_normal((1, dims[i + 1])).astype(dtype))
-                      for i in range(len(dims) - 1)]
-            given = x.copy()
-            loose = Tape(grad=False)
-            tracemalloc.start()
-            try:
-                streamed = loose.mlp(loose.tensor(x), weights, biases).data
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            values = [streamed] + [stack(t, t.tensor(x), weights, biases).data
-                                   for t, stack in ((Tape(), Tape.mlp), (Tape(), mlp_chain))]
-            assert len(loose) == 0 and streamed.dtype == dtype
-            assert bits(values[0]) == bits(values[1]) == bits(values[2]), (dims, rows)
-            assert bits(x) == bits(given)
-            widest = max(dims[1:-1], default=0)
-            pieces = _row_pieces(rows, widest // dims[0], widest)
-            assert len(pieces) == (4 if widest > dims[0] and rows > 4 * widest else 1), (dims, rows)
-            if len(pieces) > 1 and rows > 1000:  # the widest hidden activation never exists whole
-                assert peak < rows * max(dims) * np.dtype(dtype).itemsize, (dims, rows, peak)
+        for dims, rows in itertools.product(stacks, [5, 135, 901, 4001, 6630]):
+            streams = max(dims[1:-1], default=0) > dims[0] and rows > 1000
+            pieces = _mlp_pieces(rows, [np.zeros(dims[i:i + 2]) for i in range(len(dims) - 1)])
+            assert len(pieces or [None]) == (4 if streams else 1), (dims, rows)
+            assert self.assert_mlp_keeps_the_chains_bits(dims, rows, dtype) == streams, (dims, rows)
 
-    @pytest.mark.parametrize("count", [0, 1, 2, 4, 7])
-    @pytest.mark.parametrize("least", [0, 1, 2, 5])
-    def test_row_pieces_never_hold_one_row(self, count, least):
-        # a one-row float64 product takes BLAS's gemv path, whose bits differ from gemm's
-        for rows in range(60):
-            pieces = _row_pieces(rows, count, least)
-            assert [lo for lo, _ in pieces] == [0] + [hi for _, hi in pieces[:-1]]
-            assert pieces[-1][1] == rows
-            assert len(pieces) == (count if count >= 2 and rows >= count * max(least, 2) else 1)
-            assert len(pieces) == 1 or min(hi - lo for lo, hi in pieces) >= max(least, 2)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("d", [8, 16, 20, 64, 128])
+    def test_streamed_ffn_keeps_the_bits_at_other_widths(self, dtype, d):
+        # The FFN (d -> 4d -> d) streams from 4 * least rows, where a piece of ``least``
+        # rows first multiplies more than 10^6 (OpenBLAS's small-matrix size) in each
+        # layer. Below that count (half of it lies where the whole product is above that
+        # size and each quarter below, where OpenBLAS gave pieces other last bits at
+        # d = 8, 20 and 128) the block runs whole; from it on, counts 4 does and does
+        # not divide keep the chain's bits.
+        least = 10 ** 6 // (4 * d * d) + 1
+        for rows in (2 * least, 4 * least - 1, 4 * least, 4 * least + 1, 4 * least + 3, 7 * least + 5):
+            assert self.assert_mlp_keeps_the_chains_bits([d, 4 * d, d], rows, dtype) == (rows >= 4 * least)
+
+    def test_mlp_pieces_follow_the_shapes(self):
+        # four near-equal pieces for d -> 4d -> d, none of whose products is at or under
+        # the small-matrix size; the narrowest layer sets the floor, and no piece holds
+        # one row, even where one row's product would be above that size
+        ffn = [np.zeros((32, 128)), np.zeros((128, 32))]
+        assert _mlp_pieces(979, ffn) is None
+        assert _mlp_pieces(981, ffn) == [(0, 245), (245, 490), (490, 735), (735, 981)]
+        stack = [np.zeros((32, 128)), np.zeros((128, 96)), np.zeros((96, 32))]
+        assert [len(_mlp_pieces(rows, stack) or [None]) for rows in (4 * 326 - 1, 4 * 326)] == [1, 4]
+        assert _mlp_pieces(5000, [np.zeros((32, 32)), np.zeros((32, 32))]) is None
+        wide = [np.zeros((1000, 4000), dtype=np.float32), np.zeros((4000, 1000), dtype=np.float32)]
+        assert 4000 * 1000 > _SMALL_PRODUCT_MACS
+        assert [_mlp_pieces(rows, wide) for rows in (7, 8)] == [None, [(0, 2), (2, 4), (4, 6), (6, 8)]]
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("d", [5, 32, 96])
