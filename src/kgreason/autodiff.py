@@ -202,7 +202,7 @@ class ProductSumPlan:
             pos = starts[segs[lo:hi]] + np.minimum(slot, seg_len[lo:hi] - 1)
             pad_b = np.where(valid, ib[pos], self.num_b)
             self.buckets.append((segs[lo:hi], ia[pos].reshape(-1), pad_b.reshape(-1), k))
-        self.largest = max((len(ia) for _, ia, _, _ in self.buckets), default=0)   # slots of the largest bucket
+        self.largest = max((len(ia) for _, ia, _, _ in self.buckets), default=0)  # largest bucket's slots
         del keys, order, ia, ib  # the sorted copies, freed before the pairs are counted
         self._share_products()
 
@@ -313,6 +313,11 @@ def _mlp_in_pieces(x: np.ndarray, wds: list, bds: list, pieces: list) -> np.ndar
     into its rows of the output; each row sees the chain's operations in the
     chain's order, so the bits are the chain's.
     """
+    width = x.shape[1]
+    for wd, bd in zip(wds, bds):
+        if width != wd.shape[0] or bd.shape != (1, wd.shape[1]):
+            raise ShapeError("mlp", (x.shape[0], width), wd.shape, bd.shape)
+        width = wd.shape[1]
     most = max(hi - lo for lo, hi in pieces)
     dtypes = [x.dtype]
     for wd in wds:
@@ -456,11 +461,6 @@ class Tape:
             raise ShapeError("mlp", f"{len(weights)} weights", f"{len(biases)} biases")
         wds = [w.data for w in weights]
         bds = [b.data for b in biases]
-        width = x.shape[1]
-        for wd, bd in zip(wds, bds):
-            if width != wd.shape[0] or bd.shape != (1, wd.shape[1]):
-                raise ShapeError("mlp", (x.shape[0], width), wd.shape, bd.shape)
-            width = wd.shape[1]
         # a piece holds at most half the rows, so a first layer under twice the small-matrix
         # size over all of them cannot stream; this spares small graphs' calls _mlp_pieces
         if not self.grad_enabled and len(wds) > 1 and x.shape[0] * wds[0].size > 2 * _SMALL_PRODUCT_MACS:
@@ -470,6 +470,8 @@ class Tape:
         inputs = [x.data]          # each layer's input: x, then (for a backward pass) the ReLU outputs
         h = x.data
         for i, (wd, bd) in enumerate(zip(wds, bds)):
+            if h.shape[1] != wd.shape[0] or bd.shape != (1, wd.shape[1]):
+                raise ShapeError("mlp", h.shape, wd.shape, bd.shape)
             h = h @ wd
             h += bd
             if i < len(wds) - 1:

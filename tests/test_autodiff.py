@@ -530,6 +530,17 @@ class TestFusedNodesBitEqual:
         assert 4000 * 1000 > _SMALL_PRODUCT_MACS
         assert [_mlp_pieces(rows, wide) for rows in (7, 8)] == [None, [(0, 2), (2, 4), (4, 6), (6, 8)]]
 
+    def test_mlp_rejects_mismatched_layers_whether_or_not_it_streams(self):
+        for rows, grad in itertools.product([5, 4001], [True, False]):
+            t = Tape(grad=grad)
+            x = t.tensor(np.ones((rows, 32)))
+            ws = [Parameter("w0", np.ones((32, 128))), Parameter("w1", np.ones((128, 32)))]
+            bs = [Parameter("b0", np.ones((1, 128))), Parameter("b1", np.ones((1, 32)))]
+            for bad_ws, bad_bs in [(ws, [bs[0], Parameter("b1", np.ones((1, 31)))]),
+                                   ([ws[0], Parameter("w1", np.ones((127, 32)))], bs)]:
+                with pytest.raises(ShapeError, match="mlp"):
+                    t.mlp(x, bad_ws, bad_bs)
+
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("d", [5, 32, 96])
     def test_layer_norm_variance_is_np_var(self, dtype, d):
