@@ -497,6 +497,27 @@ class TestForward:
                 pytest.fail(f"{precision} inference forward peaked at {peak / block:.2f} blocks of "
                             f"|V| x d, at {site}")
 
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_inference_forward_keeps_the_recording_bits(self, precision):
+        # a Zipf(0.8) graph whose by_target plan has no pair table, so a tape that does not
+        # record gathers every round's aggregate into one slot buffer and sums each round
+        # in place; the scores keep the bits of a recording forward
+        rng = np.random.default_rng(41)
+        n, m = 300, 900
+        popularity = 1.0 / np.arange(1, n + 1) ** 0.8
+        heads, tails = rng.permutation(n)[rng.choice(n, (2, m), p=popularity / popularity.sum())]
+        trips = [Triplet(int(h), int(r), int(t))
+                 for h, r, t in zip(heads, rng.integers(5, size=m), tails) if h != t]
+        g = build_graph(trips, n, 5, add_inverse=True)
+        assert g.by_target.pairs is None
+        cfg, params = make_model(num_relations=g.num_relations, seed=42, attention_layers=2,
+                                 noise_mode="fixed_seed", precision=precision)
+        noise = make_noise(cfg, n)
+        q = Query(3, 2, 0, frozenset({0}))
+        want = forward(Tape(), g, q, params, cfg, noise).data
+        got = forward(Tape(grad=False), g, q, params, cfg, noise).data
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("kernel_mode", ["approximate", "full_exponential"])
     def test_query_side_holds_only_what_its_kernel_reads(self, rng, kernel_mode):
         # the approximate kernel reads the keys alone, so its query side drops ztilde; a
