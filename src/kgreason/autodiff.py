@@ -240,27 +240,15 @@ class ProductSumPlan:
         table *= b.take(ub, axis=0)
         return table, work[len(ua):]
 
-    def slot_buffer(self, d: int, dtype) -> np.ndarray | None:
-        """A buffer that ``run`` can gather every bucket into, or None when it needs none.
-
-        Only a plan without a pair table gathers into such a buffer; a caller
-        that runs the plan several times in a row can keep one and pass it to
-        each ``run`` instead of having every run allocate and free its own.
-        """
-        if self.pairs is not None or not self.buckets:
-            return None
-        return np.empty((self.largest, d), dtype=dtype)
-
-    def run(self, a: np.ndarray, b: np.ndarray, slots: np.ndarray | None = None) -> np.ndarray:
+    def run(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The (num_keys, d) product-sum of ``a`` (num_a, d) and ``b`` (num_b, d).
 
         Without a pair table, each bucket gathers its ``a`` rows into one
-        buffer, sized for the largest bucket as the pair table's is (``slots``
-        from ``slot_buffer``, or a new one), and multiplies them by ``b`` in
-        pieces of at most the largest operand's row count plus
-        ``_BUCKET_COST_ROWS``: the ``b`` rows never take another copy of the
-        bucket's slots, and a bucket is cut only where that saves more rows
-        than running a bucket costs.
+        buffer per run, sized for the largest bucket as the pair table's is,
+        and multiplies them by ``b`` in pieces of at most the largest
+        operand's row count plus ``_BUCKET_COST_ROWS``: the ``b`` rows never
+        take another copy of the bucket's slots, and a bucket is cut only
+        where that saves more rows than running a bucket costs.
         """
         if a.shape[0] != self.num_a or b.shape[0] != self.num_b or a.shape[1] != b.shape[1]:
             raise ShapeError("ProductSumPlan.run", a.shape, b.shape)
@@ -269,9 +257,6 @@ class ProductSumPlan:
         b = np.concatenate((b, np.zeros((1, d), dtype=b.dtype)))
         if self.pairs is not None:
             table, slots = self._table(a, b)
-        elif slots is not None:
-            if slots.shape != (self.largest, d) or slots.dtype != a.dtype:
-                raise ShapeError("ProductSumPlan.run slots", slots.shape, (self.largest, d))
         elif self.buckets:
             slots = np.empty((self.largest, d), dtype=a.dtype)
         step = max(self.num_keys, self.num_a, self.num_b) + _BUCKET_COST_ROWS
@@ -696,14 +681,12 @@ class Tape:
 
         return self._emit("scatter_add_rows", _scatter_add(num_rows, rows, a.data), bwd)
 
-    def relational_aggregate(self, z: Tensor, rhat: Tensor, graph, exclude=None,
-                             slots: np.ndarray | None = None) -> Tensor:
+    def relational_aggregate(self, z: Tensor, rhat: Tensor, graph, exclude=None) -> Tensor:
         """Message aggregation ``agg[t] = sum over facts r(s, t) of z[s] * rhat[r]``.
 
         ``graph`` holds three ProductSumPlans over its facts: ``by_target``
         computes the value, ``by_source`` and ``by_relation`` the adjoints for
-        ``z`` and ``rhat``. No (|E|, d) tensor is recorded. ``slots``, from
-        ``graph.by_target.slot_buffer``, is passed on to ``by_target.run``.
+        ``z`` and ``rhat``. No (|E|, d) tensor is recorded.
 
         ``exclude`` is an optional (sources, relations, targets) triple of fact
         copies to leave out (a training query's own edge): their messages are
@@ -713,7 +696,7 @@ class Tape:
         if z.shape[0] != plan.num_a or rhat.shape[0] != plan.num_b or z.shape[1] != rhat.shape[1]:
             raise ShapeError("relational_aggregate", z.shape, rhat.shape)
         zd, rd = z.data, rhat.data
-        out = plan.run(zd, rd, slots)
+        out = plan.run(zd, rd)
         if exclude is not None:
             src, rel, tgt = map(_as_index, exclude)
             if not len(src) == len(rel) == len(tgt):

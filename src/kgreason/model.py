@@ -257,25 +257,14 @@ def rmpnn_forward(tape: Tape, graph: KnowledgeGraph, x: Tensor, rq: int,
 
     On a tape that does not record, ``init_extra`` is released once the
     projection has read it (freed, if the caller holds no other reference),
-    and each round's state and aggregate before its update runs. Every
-    round's aggregate also gathers into one slot buffer kept for all the
-    rounds, and the round's sum is formed in the array of its product, with
-    the chain's roundings. A round then leaves fewer free blocks behind, so
-    glibc does not give the heap's top back to the OS between rounds only
-    to fault it in again for the next aggregate.
+    and each round's state and aggregate before its update runs.
     """
     z = tape.mlp(tape.concat_columns(x, tape.tensor(init_extra)), [net.proj_w], [net.proj_b])
     del init_extra
     rhat = relation_transform(tape, relations, rq, net)
-    slots = None if tape.grad_enabled else graph.by_target.slot_buffer(z.shape[1], z.data.dtype)
     for rnd in net.rounds:
-        agg = tape.relational_aggregate(z, rhat, graph, exclude, slots)
-        if tape.grad_enabled:
-            z = tape.add(tape.mul(z, rnd.retain), agg)
-        else:
-            summed = z.data * rnd.retain.data
-            z = tape.tensor(np.add(summed, agg.data, out=summed))
-            del summed
+        agg = tape.relational_aggregate(z, rhat, graph, exclude)
+        z = tape.add(tape.mul(z, rnd.retain), agg)
         del agg
         z = rnd.update.apply(tape, z)
     return z

@@ -499,9 +499,9 @@ class TestForward:
 
     @pytest.mark.parametrize("precision", ["float32", "float64"])
     def test_inference_forward_keeps_the_recording_bits(self, precision):
-        # a Zipf(0.8) graph whose by_target plan has no pair table, so a tape that does not
-        # record gathers every round's aggregate into one slot buffer and sums each round
-        # in place; the scores keep the bits of a recording forward
+        # a Zipf(0.8) graph whose by_target plan has no pair table, so message passing takes
+        # the direct path that multiplies in pieces; a tape that does not record frees its
+        # intermediates early, and the scores keep the bits of a recording forward
         rng = np.random.default_rng(41)
         n, m = 300, 900
         popularity = 1.0 / np.arange(1, n + 1) ** 0.8
